@@ -22,16 +22,7 @@ import numpy as np
 
 from .control_math import RngStream, chebyshev_grid
 from .errors import ConfigError, InvalidBounds
-from .lti import (
-    FrequencyGrid,
-    StateSpaceSISO,
-    TransferFunctionSISO,
-    closed_loop_error_tf,
-    h2_norm_sq_exact,
-    hinf_norm,
-    is_internally_stable,
-    ss_to_tf,
-)
+from .lti import StateSpaceSISO, TransferFunctionSISO, loop_norms, loop_stable, ss_to_tf
 from .scenario import QuadraticScenario, simulate_minimizer
 from .trackers import UncertaintyInterval, make_kalman_tracker
 
@@ -44,7 +35,6 @@ __all__ = [
     "error_trace",
     "moving_average",
     "mismatch_curve",
-    "per_lambda_stability",
     "thread_count",
     "parallel_map",
 ]
@@ -111,11 +101,6 @@ class ErrorTrace:
         return self.values.size
 
 
-def per_lambda_stability(h: TransferFunctionSISO, c: TransferFunctionSISO,
-                         lams) -> list:
-    return [is_internally_stable(h, c, float(lam)) for lam in np.asarray(lams, dtype=float)]
-
-
 def analytic_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
                   eigs, sigma2: float) -> float:
     """Steady-state mean-square error summed over curvature components.
@@ -130,13 +115,10 @@ def analytic_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
     sigma2 = float(sigma2)
     if sigma2 < 0.0:
         raise InvalidBounds("sigma2 must be nonnegative")
-    total = 0.0
-    for lam in eigs:
-        lam = float(lam)
-        if not is_internally_stable(h, c, lam):
-            return float("inf")
-        total += h2_norm_sq_exact(closed_loop_error_tf(h, c, lam))
-    return sigma2 * total
+    if not loop_stable(h, c, eigs).all():
+        return float("inf")
+    # left-to-right in eigenvalue order, so the sum is reproducible bit for bit
+    return sigma2 * sum(loop_norms(h, c, eigs)[0].tolist())
 
 
 def robust_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
@@ -150,14 +132,9 @@ def robust_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
     if grid_n < 2:
         raise InvalidBounds("grid_n must be at least 2")
     lams = chebyshev_grid(interval.lambda_min, interval.lambda_max, grid_n)
-    freq = FrequencyGrid(4096)
-    worst = 0.0
-    for lam in lams:
-        lam = float(lam)
-        if not is_internally_stable(h, c, lam):
-            return float("inf")
-        worst = max(worst, hinf_norm(closed_loop_error_tf(h, c, lam), freq))
-    return worst
+    if not loop_stable(h, c, lams).all():
+        return float("inf")
+    return max(loop_norms(h, c, lams, peak=True)[1].tolist())
 
 
 def _rep_mean(scenario: QuadraticScenario, ctrl, horizon: int, burnin: int,

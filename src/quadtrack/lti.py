@@ -5,6 +5,12 @@ Transfer functions are ratios of real polynomials in z, stored ascending
 models are single-input single-output quadruples (F, G, H, j).  The unit
 circle is the stability boundary; a margin of 1e-9 separates "stable"
 from "not" everywhere in this module.
+
+`loop_stable` and `loop_norms` answer "is the error loop stable, and what
+are its norms?" for a whole batch of curvatures at once; every cost in
+the package goes through them.  The scalar routines they call
+(`closed_loop_error_tf`, `h2_norm_sq_exact`, `hinf_norm`) stay public as
+the per-curvature building blocks and test references.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +33,8 @@ __all__ = [
     "h2_norm_sq_freq",
     "hinf_norm",
     "is_internally_stable",
+    "loop_stable",
+    "loop_norms",
 ]
 
 STABILITY_MARGIN = 1e-9
@@ -307,9 +315,38 @@ def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
     return TransferFunctionSISO(num, den, cancel=False)
 
 
-def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
-                         lam: float) -> bool:
-    """Whether the (h, lam, c) error loop has no persistent modes.
+def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
+    """Per lam, whether every root of den(z) - lam * num(z) is inside the circle.
+
+    den is monic with degree strictly above deg(num), so each family
+    member is monic of fixed degree; the companion matrices are stacked
+    and factored in one batched eigenvalue call.
+    """
+    lams = np.asarray(lams, dtype=float)
+    q = den.size - 1
+    if q == 0:
+        return np.ones(lams.size, dtype=bool)
+    coeffs = np.tile(den[:q], (lams.size, 1))
+    coeffs[:, : num.size] -= np.outer(lams, num)
+    comp = np.zeros((lams.size, q, q))
+    comp[:, 1:, :-1] = np.eye(q - 1)
+    comp[:, :, -1] = -coeffs
+    ev = np.linalg.eigvals(comp)
+    return np.max(np.abs(ev), axis=-1) < 1.0 - STABILITY_MARGIN
+
+
+def _carries_internal_model(h: TransferFunctionSISO, c: TransferFunctionSISO) -> bool:
+    """Whether every non-decaying pole of h is matched by a root of n_h d_c."""
+    bad = [r for r in np.atleast_1d(h.poles()) if abs(r) >= 1.0 - STABILITY_MARGIN]
+    if not bad:
+        return True
+    candidates = list(np.atleast_1d(h.zeros())) + list(np.atleast_1d(c.poles()))
+    _, matched_bad = _match_roots(candidates, bad, CANCEL_TOL)
+    return len(matched_bad) == len(bad)
+
+
+def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
+    """Internal stability of the (h, lam, c) error loop, one flag per lam.
 
     Two conditions, both on the assembly before any cancellation:
     every root of the loop characteristic polynomial d_c - lam n_c lies
@@ -318,20 +355,22 @@ def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
     n_h d_c, i.e. the controller carries an internal model of the
     persistent signal dynamics.  Exogenous stable signal poles are
     allowed to remain: they shape the noise but decay on their own.
+    The second condition does not depend on lam, so it is tested once.
+
+    Raises AlgebraicLoop unless c is strictly proper.
     """
     if not c.is_strictly_proper:
         raise AlgebraicLoop("controller must be strictly proper")
-    loop = _loop_char(c, lam)
-    if loop.size > 1:
-        lr = polynomial_roots(loop)
-        if np.max(np.abs(lr)) >= 1.0 - STABILITY_MARGIN:
-            return False
-    bad = [r for r in np.atleast_1d(h.poles()) if abs(r) >= 1.0 - STABILITY_MARGIN]
-    if not bad:
-        return True
-    candidates = list(np.atleast_1d(h.zeros())) + list(np.atleast_1d(c.poles()))
-    matched_num, matched_bad = _match_roots(candidates, bad, CANCEL_TOL)
-    return len(matched_bad) == len(bad)
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not _carries_internal_model(h, c):
+        return np.zeros(lams.size, dtype=bool)
+    return roots_stable(c.den, c.num, lams)
+
+
+def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
+                         lam: float) -> bool:
+    """Whether the (h, lam, c) error loop has no persistent modes; see loop_stable."""
+    return bool(loop_stable(h, c, [lam])[0])
 
 
 def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
@@ -416,3 +455,23 @@ def hinf_norm(w: TransferFunctionSISO, grid: FrequencyGrid | None = None) -> flo
     f = lambda t: float(np.abs(w(np.exp(1j * t))))
     refined = _golden_max(f, theta[k] - step, theta[k] + step)
     return max(float(mags[k]), refined)
+
+
+def loop_norms(h: TransferFunctionSISO, c: TransferFunctionSISO, lams,
+               peak: bool = False) -> tuple:
+    """Squared H2 norm and, with `peak`, the peak gain of the error loop per lam.
+
+    Returns (h2_sq, hinf), arrays aligned with lams that read +inf
+    wherever `loop_stable` is false; hinf is None unless `peak`.  At
+    stable points the values are those of `h2_norm_sq_exact` and
+    `hinf_norm` on `closed_loop_error_tf`.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    h2_sq = np.full(lams.size, np.inf)
+    hinf = np.full(lams.size, np.inf) if peak else None
+    for i in np.flatnonzero(loop_stable(h, c, lams)):
+        w = closed_loop_error_tf(h, c, float(lams[i]))
+        h2_sq[i] = h2_norm_sq_exact(w)
+        if peak:
+            hinf[i] = hinf_norm(w)
+    return h2_sq, hinf

@@ -24,10 +24,9 @@ from .evaluation import (
     error_trace,
     moving_average,
     parallel_map,
-    per_lambda_stability,
     robust_cost,
 )
-from .lti import closed_loop_error_tf, h2_norm_sq_exact, hinf_norm, ss_to_tf
+from .lti import loop_norms, loop_stable, ss_to_tf
 from .presets import PRESET_NAMES, preset_document
 from .scenario import STREAM_SIM_BASE, QuadraticScenario
 from .synthesis import SynthesisOptions, precompensated_synthesize
@@ -113,10 +112,9 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _kalman_mu(cfg: ExperimentConfig, scenario: QuadraticScenario) -> float:
+def _kalman_mu(cfg: ExperimentConfig, scenario: QuadraticScenario, sigma2: float) -> float:
     mode = cfg.trackers.kalman_mu
     if mode == "search":
-        sigma2 = scenario.sigma ** 2 if scenario.sigma > 0.0 else 1.0
         return mu_star_search(scenario.model, sigma2, scenario.spectrum)
     if mode == "uniform":
         return mu_star_uniform(scenario.lambda_min, scenario.lambda_max)
@@ -136,7 +134,7 @@ def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
     if "kalman" in spec.use:
         try:
             out["kalman"] = make_kalman_tracker(scenario.model, sigma2,
-                                                _kalman_mu(cfg, scenario))
+                                                _kalman_mu(cfg, scenario, sigma2))
         except NoStabilizingController:
             # spectrum spread exceeds this structure's gain margin; the
             # tracker diverges for every tuning, so its columns stay empty
@@ -189,10 +187,16 @@ def run_sweep(cfg: ExperimentConfig, preset: str | None = None) -> SweepResult:
 
 
 def run_trace(cfg: ExperimentConfig) -> dict:
-    """Smoothed error-norm trace per tracker, on one shared noise path."""
+    """Smoothed error-norm trace per tracker, on one shared noise path.
+
+    A tracker whose loop is unstable on the scenario's spectrum is not
+    simulated, so its column stays empty, as its sweep cells do.
+    """
     scenario = build_scenario(cfg.scenario)
+    h = ss_to_tf(scenario.model)
     ctrls = _build_trackers(cfg, scenario)
-    names = [name for name in _COLUMN_ORDER if name in ctrls]
+    names = [name for name in _COLUMN_ORDER
+             if name in ctrls and loop_stable(h, ctrls[name].tf, scenario.spectrum).all()]
     traces = error_trace(scenario, [ctrls[name] for name in names],
                          cfg.run.horizon, RngStream(scenario.seed, STREAM_SIM_BASE))
     columns = {name: None for name in _COLUMN_ORDER}
@@ -256,9 +260,9 @@ def synthesize_cmd(config_path: str, out_path: str) -> str:
     ctrl = precompensated_synthesize(h, interval, opts)
     _write_text(out_path, json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
     grid = chebyshev_grid(interval.lambda_min, interval.lambda_max, spec.hinf_grid)
-    stable = per_lambda_stability(h, ctrl.tf, grid)
+    stable = loop_stable(h, ctrl.tf, grid)
     print(f"Jhat = {ctrl.gamma:.17g}")
-    print(f"stable at {sum(stable)}/{len(stable)} grid points")
+    print(f"stable at {int(stable.sum())}/{stable.size} grid points")
     return out_path
 
 
@@ -280,7 +284,7 @@ def evaluate_cmd(controller_path: str, config_path: str) -> list:
     h = ss_to_tf(scenario.model)
     interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
     sigma2 = scenario.sigma ** 2
-    flags = per_lambda_stability(h, ctrl.tf, scenario.spectrum)
+    flags = loop_stable(h, ctrl.tf, scenario.spectrum).tolist()
     analytic = analytic_cost(h, ctrl.tf, scenario.spectrum, sigma2)
     robust = robust_cost(h, ctrl.tf, interval, cfg.trackers.hinf_grid)
     if math.isfinite(analytic):
@@ -303,15 +307,12 @@ def evaluate_cmd(controller_path: str, config_path: str) -> list:
 
     grid = chebyshev_grid(interval.lambda_min, interval.lambda_max,
                           cfg.trackers.hinf_grid)
+    h2_sq, hinf = loop_norms(h, ctrl.tf, grid, peak=True)
     lines = ["lambda,stable,h2_norm_sq,hinf_norm"]
-    for lam in grid:
-        lam = float(lam)
-        if per_lambda_stability(h, ctrl.tf, [lam])[0]:
-            w = closed_loop_error_tf(h, ctrl.tf, lam)
-            lines.append(f"{_fmt(lam)},true,{_fmt(h2_norm_sq_exact(w))},"
-                         f"{_fmt(hinf_norm(w))}")
-        else:
-            lines.append(f"{_fmt(lam)},false,,")
+    for lam, stable, h2, peak in zip(grid.tolist(), loop_stable(h, ctrl.tf, grid).tolist(),
+                                     h2_sq.tolist(), hinf.tolist()):
+        lines.append(f"{_fmt(lam)},true,{_fmt(h2)},{_fmt(peak)}" if stable
+                     else f"{_fmt(lam)},false,,")
     os.makedirs(cfg.out_dir, exist_ok=True)
     table_path = _write_text(os.path.join(cfg.out_dir, "evaluation.csv"),
                              "\n".join(lines) + "\n")

@@ -29,7 +29,6 @@ __all__ = [
     "draw_spectrum",
     "build_hessian",
     "simulate_minimizer",
-    "gradient",
     "make_scenario",
     "STREAM_SPECTRUM",
     "STREAM_BASIS",
@@ -76,47 +75,31 @@ class MinimizerTrajectory:
     """Sampled minimizer path c_k, one row per step, one column per component."""
 
     values: np.ndarray
-    states: np.ndarray | None = None
 
 
 def simulate_minimizer(model: StateSpaceSISO, n: int, horizon: int, sigma: float,
-                       rng: RngStream, xi0: np.ndarray | None = None,
-                       store_states: bool = False) -> MinimizerTrajectory:
+                       rng: RngStream) -> MinimizerTrajectory:
     """Drive n independent copies of the signal model with white noise.
 
     Component i follows xi+ = F xi + G w, c = H xi + j w with its own
     i.i.d. N(0, sigma^2) scalar noise; the same draw w_k enters both the
     state update and the output, which is what makes the output
-    predictable from its own past.  Initial states default to zero.
+    predictable from its own past.  Initial states are zero.
     The result is bit-reproducible for fixed arguments.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    m = model.order
-    if xi0 is None:
-        xi = np.zeros((m, n))
-    else:
-        xi = np.array(xi0, dtype=float)
-        if xi.shape != (m, n):
-            raise DimensionMismatch(f"xi0 must have shape ({m}, {n}), got {xi.shape}")
+    xi = np.zeros((model.order, n))
     noise = sigma * rng.standard_normal((horizon, n))
     values = np.empty((horizon, n))
-    states = np.empty((horizon, m, n)) if store_states else None
     f, g, h, j = model.F, model.G, model.H, model.j
     for k in range(horizon):
-        if store_states:
-            states[k] = xi
         w = noise[k]
         values[k] = h @ xi + j * w
         xi = f @ xi + np.outer(g, w)
-    return MinimizerTrajectory(values, states)
-
-
-def gradient(a: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient A (x - c) of the quadratic 0.5 (x-c)^T A (x-c) at x."""
-    return a @ (x - c)
+    return MinimizerTrajectory(values)
 
 
 @dataclass

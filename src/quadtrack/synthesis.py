@@ -10,7 +10,8 @@ so the reported level is never the cheaper search-time surrogate.
 Persistent signal poles are handled by constraining the controller to
 contain them (precompensation): with h = n / (d_u d_s) and p(z) = z^deg(d_u),
 the controller c = (p / d_u) cbar carries the internal model d_u, and cbar
-is synthesized against the stabilized plant n / (p d_s).
+is synthesized against the stabilized plant n / (p d_s).  A stable h is
+the case d_u = p = 1, so stable and persistent models share one path.
 """
 
 import warnings
@@ -22,15 +23,8 @@ from scipy.optimize import minimize
 
 from .control_math import RngStream, chebyshev_grid
 from .errors import InvalidBounds, NoStabilizingController, QuadtrackError
-from .lti import (
-    FrequencyGrid,
-    StateSpaceSISO,
-    TransferFunctionSISO,
-    closed_loop_error_tf,
-    hinf_norm,
-    is_internally_stable,
-    tf_to_ss,
-)
+from .evaluation import robust_cost
+from .lti import FrequencyGrid, StateSpaceSISO, TransferFunctionSISO, roots_stable, tf_to_ss
 from .scenario import STREAM_SYNTH_BASE
 from .trackers import KIND_HINF, TrackerController, UncertaintyInterval, factor_poles, kalman_gain, mu_star_search
 
@@ -47,22 +41,9 @@ class SynthesisOptions:
     max_evals: int = 2000
     seed: int = 0
 
-
-def _batched_roots_stable(base: np.ndarray, pert: np.ndarray, lams: np.ndarray) -> bool:
-    """All roots of base(z) - lam * pert(z) inside the circle, per lam.
-
-    base is monic with degree strictly above deg(pert), so each family
-    member is monic of fixed degree; the companion matrices are stacked
-    and factored in one batched eigenvalue call.
-    """
-    q = base.size - 1
-    coeffs = np.tile(base[:q], (lams.size, 1))
-    coeffs[:, : pert.size] -= np.outer(lams, pert)
-    comp = np.zeros((lams.size, q, q))
-    comp[:, 1:, :-1] = np.eye(q - 1)
-    comp[:, :, -1] = -coeffs
-    ev = np.linalg.eigvals(comp)
-    return bool(np.max(np.abs(ev)) < 1.0 - 1e-9)
+    def __post_init__(self):
+        if self.grid_points < 2:
+            raise InvalidBounds("grid_points must be at least 2")
 
 
 class _Objective:
@@ -90,7 +71,7 @@ class _Objective:
         pert = npoly.polymul(self.p, n_cbar)
         if not np.all(np.isfinite(base)) or not np.all(np.isfinite(pert)):
             return float("inf")
-        if not _batched_roots_stable(base, pert, self.lam_grid):
+        if not roots_stable(base, pert, self.lam_grid).all():
             val = float("inf")
         else:
             num_v = np.abs(npoly.polyval(self.z, npoly.polymul(self.n_h, d_cbar)))
@@ -201,12 +182,7 @@ def _synthesize_core(h: TransferFunctionSISO, interval: UncertaintyInterval,
         c_tf = TransferFunctionSISO(npoly.polymul(p, n_cbar), npoly.polymul(d_u, d_cbar))
         if not c_tf.is_strictly_proper:
             return float("inf"), c_tf
-        gamma = 0.0
-        for lam in lam_grid:
-            if not is_internally_stable(h, c_tf, lam):
-                return float("inf"), c_tf
-            gamma = max(gamma, hinf_norm(closed_loop_error_tf(h, c_tf, lam)))
-        return gamma, c_tf
+        return robust_cost(h, c_tf, interval, opts.grid_points), c_tf
 
     best = None
     for v in finalists:
@@ -238,33 +214,26 @@ def hinf_synthesize(h: TransferFunctionSISO, interval: UncertaintyInterval,
 
     The reported `gamma` is the certified value max over the curvature
     grid of the peak gain of -h / (1 - lam c), computed with the
-    full-precision norm routine on the selected controller.
+    full-precision norm routine on the selected controller.  This is
+    `precompensated_synthesize` restricted to stable models.
 
     Raises NoStabilizingController when no search start yields a loop
     stable across the whole grid.
     """
-    opts = opts or SynthesisOptions()
-    lam_grid = chebyshev_grid(interval.lambda_min, interval.lambda_max, opts.grid_points)
-    if h.is_zero:
-        return _zero_controller(lam_grid)
-    if h.degree > 0 and np.max(np.abs(h.poles())) >= 1.0 - 1e-9:
+    if not h.is_zero and h.degree > 0 and np.max(np.abs(h.poles())) >= 1.0 - 1e-9:
         raise InvalidBounds("signal model must be stable here; use precompensated_synthesize")
-    q_bar = opts.order if opts.order is not None else max(h.degree, 1)
-    if q_bar < 1:
-        raise InvalidBounds("controller order must be at least 1")
-    return _synthesize_core(h, interval, h.num, np.ones(1), h.den, np.ones(1),
-                            q_bar, opts)
+    return precompensated_synthesize(h, interval, opts)
 
 
 def precompensated_synthesize(h: TransferFunctionSISO, interval: UncertaintyInterval,
                               opts: SynthesisOptions | None = None) -> TrackerController:
-    """Synthesis for signal models with persistent (non-decaying) poles.
+    """Minimize the worst-case peak error gain for any signal model.
 
     Factors h = n / (d_u d_s), fixes the controller structure
     c = (p / d_u) cbar with p(z) = z^deg(d_u), and synthesizes cbar so the
     loop polynomial d_u d_cbar - lam p n_cbar is stable over the grid.
-    For a stable h this reduces exactly to hinf_synthesize, same seed and
-    same draws.
+    For a stable h, d_u = p = 1 and cbar is the whole controller.  The
+    default order is max(deg h, 1) + deg d_u.
     """
     opts = opts or SynthesisOptions()
     if h.is_zero:
@@ -272,11 +241,9 @@ def precompensated_synthesize(h: TransferFunctionSISO, interval: UncertaintyInte
             chebyshev_grid(interval.lambda_min, interval.lambda_max, opts.grid_points))
     n_h, d_u, d_s = factor_poles(h)
     n_u = d_u.size - 1
-    if n_u == 0:
-        return hinf_synthesize(h, interval, opts)
     p = np.zeros(n_u + 1)
     p[-1] = 1.0
-    order = opts.order if opts.order is not None else h.degree + n_u
+    order = opts.order if opts.order is not None else max(h.degree, 1) + n_u
     q_bar = order - n_u
     if q_bar < 1:
         raise InvalidBounds(

@@ -21,15 +21,7 @@ from .errors import (
     InvalidSpectrum,
     NoStabilizingController,
 )
-from .lti import (
-    StateSpaceSISO,
-    TransferFunctionSISO,
-    closed_loop_error_tf,
-    h2_norm_sq_exact,
-    is_internally_stable,
-    ss_to_tf,
-    tf_to_ss,
-)
+from .lti import StateSpaceSISO, TransferFunctionSISO, loop_norms, loop_stable, ss_to_tf, tf_to_ss
 
 __all__ = [
     "UncertaintyInterval",
@@ -237,13 +229,9 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
 
     def cost(mu):
         c = TransferFunctionSISO(base.num / mu, base.den)
-        total = 0.0
-        for lam in eigs:
-            lam = float(lam)
-            if not is_internally_stable(h, c, lam):
-                return float("inf")
-            total += h2_norm_sq_exact(closed_loop_error_tf(h, c, lam))
-        return sigma2 * total
+        if not loop_stable(h, c, eigs).all():
+            return float("inf")
+        return sigma2 * sum(loop_norms(h, c, eigs)[0].tolist())
 
     grid = np.geomspace(0.25 * eigs.min(), 8.0 * eigs.max(), 160)
     values = np.array([cost(m) for m in grid])
@@ -268,11 +256,16 @@ def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Returns (n, d_u, d_s) with d_u, d_s monic; d_u collects every pole of
     modulus >= 1 - 1e-9 and reduces to the constant 1 when h is stable.
+    A stable h keeps its own denominator as d_s: rebuilding it from its
+    roots would perturb the coefficients at roundoff level, and synthesis
+    results follow those coefficients.
     """
     if h.degree == 0:
         return h.num.copy(), np.ones(1), np.ones(1)
     poles = h.poles()
     unstable = [r for r in poles if abs(r) >= 1.0 - 1e-9]
+    if not unstable:
+        return h.num.copy(), np.ones(1), h.den.copy()
     stable = [r for r in poles if abs(r) < 1.0 - 1e-9]
 
     def rebuild(roots):

@@ -71,6 +71,25 @@ def test_minimal_trace_run(tmp_path, capsys):
     assert "output" not in meta["config"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_leaves_an_unstable_tracker_column_empty(tmp_path):
+    """The closed-form "uniform" tuning is unstable on this spectrum: its
+    trace is not simulated, so nothing overflows and the column is empty."""
+    doc = {
+        "scenario": {"n": 10, "lambda_min": 1.0, "lambda_max": 3.5, "sigma": 1.0,
+                     "d_stable": [0.950625, -1.95, 1.0], "j": 0.2, "seed": 1},
+        "trackers": {"use": ["gd", "kalman"], "kalman_mu": "uniform"},
+        "run": {"horizon": 2000, "window": 100},
+        "output": {"dir": str(tmp_path), "name": "t.csv"},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 2000
+    assert all(row[1] != "" and row[3] == "" for row in rows)
+
+
 def test_sweep_rerun_is_byte_identical(tmp_path):
     def doc(outdir):
         return {
@@ -181,6 +200,34 @@ def test_evaluate_reports_divergence_as_inf(tmp_path, capsys):
 
     table = (tmp_path / "evaluation.csv").read_text(encoding="utf-8").splitlines()
     assert all(row.endswith(",false,,") for row in table[1:])
+
+
+def test_evaluate_table_on_a_partly_stable_grid(tmp_path, capsys):
+    # gradient descent with step 0.8 is stable for lam < 2.5 only, so the
+    # grid {1, 1.37, 2.25, 3.13, 3.5} splits three stable, two unstable
+    from quadtrack.trackers import controller_to_dict, make_gd_tracker
+
+    ctrl_path = tmp_path / "gd.json"
+    ctrl_path.write_text(json.dumps(controller_to_dict(make_gd_tracker(0.8))),
+                         encoding="utf-8")
+    doc = {
+        "scenario": {**stable_scenario(), "lambda_min": 1.0, "lambda_max": 3.5},
+        "trackers": {"hinf_grid": 5},
+        "run": {"horizon": 200, "burnin": 20, "reps": 1},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["evaluate", "--controller", str(ctrl_path), "--config", cfg]) == 0
+    capsys.readouterr()
+
+    rows = [row.split(",") for row in
+            (tmp_path / "evaluation.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert [row[1] for row in rows] == ["true", "true", "true", "false", "false"]
+    for lam, stable, h2, hinf in rows:
+        if stable == "true":
+            assert float(h2) > 0.0 and float(hinf) > 0.0
+        else:
+            assert h2 == "" and hinf == ""
 
 
 def test_evaluate_rejects_malformed_controller(tmp_path, capsys):

@@ -14,7 +14,6 @@ from quadtrack.evaluation import (
     mismatch_curve,
     moving_average,
     parallel_map,
-    per_lambda_stability,
     robust_cost,
     thread_count,
 )
@@ -24,6 +23,7 @@ from quadtrack.lti import (
     TransferFunctionSISO,
     closed_loop_error_tf,
     hinf_norm,
+    loop_stable,
     observable_canonical,
     ss_to_tf,
 )
@@ -138,7 +138,7 @@ def test_robust_cost_validates_grid():
 def test_per_lambda_stability_flags():
     h = TransferFunctionSISO([1.0], [-0.5, 1.0])
     gd = make_gd_tracker(1.0)
-    assert per_lambda_stability(h, gd.tf, [0.5, 1.5, 3.0]) == [True, True, False]
+    assert loop_stable(h, gd.tf, [0.5, 1.5, 3.0]).tolist() == [True, True, False]
 
 
 # ------------------------------------------------------------- Monte Carlo

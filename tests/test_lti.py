@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from quadtrack.control_math import polynomial_roots
 from quadtrack.errors import AlgebraicLoop, DimensionMismatch
 from quadtrack.lti import (
+    CANCEL_TOL,
+    STABILITY_MARGIN,
     FrequencyGrid,
     StateSpaceSISO,
     TransferFunctionSISO,
@@ -14,10 +19,13 @@ from quadtrack.lti import (
     h2_norm_sq_freq,
     hinf_norm,
     is_internally_stable,
+    loop_norms,
+    loop_stable,
     observable_canonical,
     ss_to_tf,
     tf_to_ss,
 )
+from quadtrack.lti import _loop_char, _match_roots
 
 
 def random_stable_tf(rng, max_deg=6, max_radius=0.95):
@@ -195,6 +203,69 @@ def test_internal_stability_flags_unstable_loop():
     c = TransferFunctionSISO([0.5], [-1.0, 1.0])
     # loop root 1 + lam * 0.5 sits outside for positive feedback
     assert not is_internally_stable(h, c, 1.0)
+
+
+def reference_stable(h, c, lam):
+    """Per-curvature internal stability, written out one lam at a time."""
+    loop = _loop_char(c, lam)
+    if loop.size > 1 and np.max(np.abs(polynomial_roots(loop))) >= 1.0 - STABILITY_MARGIN:
+        return False
+    bad = [r for r in np.atleast_1d(h.poles()) if abs(r) >= 1.0 - STABILITY_MARGIN]
+    candidates = list(np.atleast_1d(h.zeros())) + list(np.atleast_1d(c.poles()))
+    return len(_match_roots(candidates, bad, CANCEL_TOL)[1]) == len(bad)
+
+
+@st.composite
+def loops(draw):
+    """(h, c, lams): a stable or persistent signal model, a strictly proper
+    controller that may carry the persistent factor, and a curvature batch."""
+    def char_poly(rmax):
+        roots = [draw(st.floats(-rmax, rmax))]
+        if draw(st.booleans()):
+            r = draw(st.floats(0.05, rmax))
+            th = draw(st.floats(0.1, np.pi - 0.1))
+            roots += [r * np.exp(1j * th), r * np.exp(-1j * th)]
+        return npoly.polyfromroots(np.asarray(roots, dtype=complex)).real
+
+    def coeffs(size):
+        return np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size)))
+
+    d_u = np.ones(1)
+    if draw(st.booleans()):
+        th = draw(st.sampled_from([0.0, np.pi / 12.0, np.pi / 3.0, 2.0]))
+        d_u = np.array([-1.0, 1.0]) if th == 0.0 else np.array([1.0, -2.0 * np.cos(th), 1.0])
+    h_den = npoly.polymul(d_u, char_poly(0.95))
+    h = TransferFunctionSISO(coeffs(h_den.size), h_den)
+    c_den = char_poly(1.1)
+    if draw(st.booleans()):
+        c_den = npoly.polymul(d_u, c_den)
+    c = TransferFunctionSISO(0.5 * coeffs(c_den.size - 1), c_den)
+    lams = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=6)))
+    return h, c, lams
+
+
+@given(loops())
+def test_loop_stable_matches_per_lambda_reference(case):
+    h, c, lams = case
+    flags = loop_stable(h, c, lams)
+    assert flags.tolist() == [reference_stable(h, c, float(lam)) for lam in lams]
+
+
+@given(loops())
+def test_loop_norms_match_frequency_integral(case):
+    """Finite squared H2 norms agree with the Riemann sum on a fine grid;
+    unstable points read +inf in both outputs."""
+    h, c, lams = case
+    flags = loop_stable(h, c, lams)
+    h2_sq, hinf = loop_norms(h, c, lams, peak=True)
+    assert np.array_equal(h2_sq, loop_norms(h, c, lams)[0])
+    assert np.all(np.isinf(h2_sq[~flags])) and np.all(np.isinf(hinf[~flags]))
+    grid = FrequencyGrid(2 ** 14)
+    for lam, value in zip(lams[flags], h2_sq[flags]):
+        w = closed_loop_error_tf(h, c, float(lam))
+        if not np.isfinite(value) or (w.degree > 0 and np.max(np.abs(w.poles())) > 0.998):
+            continue  # the uniform sum cannot resolve poles this close to the circle
+        assert value == pytest.approx(h2_norm_sq_freq(w, grid), rel=1e-6, abs=1e-12)
 
 
 # ------------------------------------------------------------------- norms

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadtrack.control_math import RngStream
-from quadtrack.errors import DimensionMismatch, InvalidBounds, InvalidSpectrum
+from quadtrack.errors import InvalidBounds, InvalidSpectrum
 from quadtrack.lti import StateSpaceSISO, observable_canonical, ss_to_tf, h2_norm_sq_exact
 from quadtrack.scenario import (
     STREAM_BASIS,
@@ -12,7 +12,6 @@ from quadtrack.scenario import (
     STREAM_SPECTRUM,
     build_hessian,
     draw_spectrum,
-    gradient,
     make_scenario,
     simulate_minimizer,
 )
@@ -73,25 +72,6 @@ def test_simulate_minimizer_matches_reference_recursion():
     assert np.array_equal(traj.values, expected)
 
 
-def test_simulate_minimizer_stores_states_on_request():
-    model = double_pole_model()
-    traj = simulate_minimizer(model, 2, 10, 1.0, RngStream(0, 100), store_states=True)
-    assert traj.states.shape == (10, 2, 2)
-    assert np.all(traj.states[0] == 0.0)
-    plain = simulate_minimizer(model, 2, 10, 1.0, RngStream(0, 100))
-    assert plain.states is None
-    assert np.array_equal(plain.values, traj.values)
-
-
-def test_simulate_minimizer_initial_state():
-    model = double_pole_model()
-    xi0 = np.ones((2, 1))
-    traj = simulate_minimizer(model, 1, 1, 0.0, RngStream(0, 100), xi0=xi0)
-    assert traj.values[0, 0] == pytest.approx(float(model.H @ xi0[:, 0]))
-    with pytest.raises(DimensionMismatch):
-        simulate_minimizer(model, 2, 5, 1.0, RngStream(0, 100), xi0=np.ones((3, 2)))
-
-
 def test_simulate_minimizer_validates_arguments():
     model = double_pole_model()
     with pytest.raises(ValueError):
@@ -109,13 +89,6 @@ def test_simulated_variance_matches_model_h2_norm():
     sample = traj.values[200:]
     expected = sigma ** 2 * h2_norm_sq_exact(ss_to_tf(model))
     assert np.var(sample) == pytest.approx(expected, rel=0.05)
-
-
-def test_gradient_formula():
-    a = np.array([[2.0, 0.5], [0.5, 1.0]])
-    x = np.array([1.0, -1.0])
-    c = np.array([0.5, 0.5])
-    assert np.allclose(gradient(a, c, x), a @ (x - c))
 
 
 def test_make_scenario_streams_are_model_independent():

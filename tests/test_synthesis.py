@@ -145,6 +145,11 @@ def test_synthesis_reports_failure_honestly():
                                   SynthesisOptions(starts=1, max_evals=2, seed=0))
 
 
+def test_synthesis_options_reject_a_one_point_grid():
+    with pytest.raises(InvalidBounds):
+        SynthesisOptions(grid_points=1)
+
+
 def test_synthesis_zero_plant_returns_zero_controller():
     ctrl = hinf_synthesize(TransferFunctionSISO([0.0], [-0.5, 1.0]),
                            UncertaintyInterval(1.0, 2.0), FAST)
