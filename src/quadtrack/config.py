@@ -227,6 +227,8 @@ def _validate_run(doc, scenario: ScenarioSpec, path="run") -> RunSpec:
         raise ConfigError(f"{spath}: need lo <= hi, got [{lo}, {hi}]")
     points = _as_int(_get(sweep, "points", spath, False, 10), _ctx(spath, "points"),
                      minimum=1)
+    if points == 1 and lo != hi:
+        raise ConfigError(f"{spath}: a 1-point sweep needs lo == hi, got [{lo}, {hi}]")
     if param == "lambda_max" and lo < scenario.lambda_min:
         raise ConfigError(f"{spath}: swept lambda_max starts below scenario.lambda_min "
                           f"({lo} < {scenario.lambda_min})")

@@ -7,21 +7,19 @@ actual tracker recursion against simulated minimizer paths.  Infinite
 cost is an in-band value, not an exception: callers render it as missing
 data.
 
-Monte Carlo reps (and the CLI's sweep points) may run on a small thread
-pool capped by the TRACKER_THREADS environment variable.  Every task
-owns a pre-assigned RNG stream and results are reduced in task order, so
-the numbers are bit-identical for any thread count.
+Both empirical entry points, the Monte Carlo cost and the error trace,
+go through one kernel that steps each tracker against one simulated
+path.  Reps run in order, each on its own pre-assigned RNG stream, so
+the numbers are bit-identical from run to run.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control_math import RngStream, chebyshev_grid
-from .errors import ConfigError, InvalidBounds
+from .errors import InvalidBounds
 from .lti import StateSpaceSISO, TransferFunctionSISO, loop_norms, loop_stable, ss_to_tf
 from .scenario import QuadraticScenario, simulate_minimizer
 from .trackers import UncertaintyInterval, make_kalman_tracker
@@ -35,33 +33,7 @@ __all__ = [
     "error_trace",
     "moving_average",
     "mismatch_curve",
-    "thread_count",
-    "parallel_map",
 ]
-
-
-def thread_count() -> int:
-    """Worker cap from TRACKER_THREADS; unset means serial execution."""
-    raw = os.environ.get("TRACKER_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"TRACKER_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"TRACKER_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; thread pool only when it can help."""
-    items = list(items)
-    workers = min(thread_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -137,21 +109,27 @@ def robust_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
     return max(loop_norms(h, c, lams, peak=True)[1].tolist())
 
 
-def _rep_mean(scenario: QuadraticScenario, ctrl, horizon: int, burnin: int,
-              stream: RngStream) -> float:
+def _squared_errors(scenario: QuadraticScenario, ctrls, horizon: int,
+                    rng: RngStream) -> np.ndarray:
+    """|e_k|^2 for every tracker (rows) and step k (columns) on one path.
+
+    Draws one minimizer path from rng and runs each tracker's own
+    recursion against it from a zero state; the error e_k = x_k - c_k is
+    taken before the step that consumes the gradient H e_k.
+    """
     traj = simulate_minimizer(scenario.model, scenario.n, horizon,
-                              scenario.sigma, stream)
+                              scenario.sigma, rng)
     c_path = traj.values @ scenario.basis.T
     hess = scenario.hessian
-    state = ctrl.initial_state(scenario.n)
-    step = ctrl.step
-    acc = 0.0
-    for k in range(horizon):
-        e = state.x - c_path[k]
-        if k >= burnin:
-            acc += float(e @ e)
-        state = step(state, hess @ e)
-    return acc / (horizon - burnin)
+    out = np.empty((len(ctrls), horizon))
+    for row, ctrl in zip(out, ctrls):
+        state = ctrl.initial_state(scenario.n)
+        step = ctrl.step
+        for k in range(horizon):
+            e = state.x - c_path[k]
+            row[k] = e @ e
+            state = step(state, hess @ e)
+    return out
 
 
 def empirical_cost(scenario: QuadraticScenario, ctrl, horizon: int,
@@ -167,9 +145,11 @@ def empirical_cost(scenario: QuadraticScenario, ctrl, horizon: int,
         raise InvalidBounds(f"need 0 <= burnin < horizon, got {burnin}, {horizon}")
     if reps < 1:
         raise InvalidBounds("reps must be at least 1")
-    streams = [rng.split(r) for r in range(reps)]
-    means = parallel_map(
-        lambda s: _rep_mean(scenario, ctrl, horizon, burnin, s), streams)
+    means = []
+    for r in range(reps):
+        row = _squared_errors(scenario, [ctrl], horizon, rng.split(r))[0]
+        # builtin sum adds left to right; np.sum would pair the terms up
+        means.append(float(sum(row[burnin:])) / (horizon - burnin))
     mean = float(np.mean(means))
     if reps == 1:
         return mean, 0.0
@@ -186,21 +166,8 @@ def error_trace(scenario: QuadraticScenario, ctrls, horizon: int,
     """
     if horizon < 1:
         raise InvalidBounds("horizon must be at least 1")
-    traj = simulate_minimizer(scenario.model, scenario.n, horizon,
-                              scenario.sigma, rng)
-    c_path = traj.values @ scenario.basis.T
-    hess = scenario.hessian
-    traces = []
-    for ctrl in ctrls:
-        state = ctrl.initial_state(scenario.n)
-        step = ctrl.step
-        vals = np.empty(horizon)
-        for k in range(horizon):
-            e = state.x - c_path[k]
-            vals[k] = math.sqrt(float(e @ e))
-            state = step(state, hess @ e)
-        traces.append(ErrorTrace(vals, window=1))
-    return traces
+    sq = _squared_errors(scenario, ctrls, horizon, rng)
+    return [ErrorTrace(row, window=1) for row in np.sqrt(sq, out=sq)]
 
 
 def moving_average(trace: ErrorTrace, window: int) -> ErrorTrace:

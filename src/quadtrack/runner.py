@@ -1,9 +1,9 @@
 """Experiment execution behind the command line: sweeps, traces, files.
 
-Sweep points run through `parallel_map` with all randomness keyed by
-(seed, stream index), and both CSV and metadata sidecar are assembled in
-memory before anything touches disk, so a rerun with the same document
-and seed produces byte-identical files no matter the thread count.
+Sweep points run in order with all randomness keyed by (seed, stream
+index), and both CSV and metadata sidecar are assembled in memory before
+anything touches disk, so a rerun with the same document and seed
+produces byte-identical files.
 """
 
 import hashlib
@@ -23,7 +23,6 @@ from .evaluation import (
     empirical_cost,
     error_trace,
     moving_average,
-    parallel_map,
     robust_cost,
 )
 from .lti import loop_norms, loop_stable, ss_to_tf
@@ -41,8 +40,7 @@ from .trackers import (
     mu_star_uniform,
 )
 
-__all__ = ["SweepResult", "run_preset", "run_config", "synthesize_cmd",
-           "evaluate_cmd"]
+__all__ = ["run_preset", "run_config", "synthesize_cmd", "evaluate_cmd"]
 
 SWEEP_HEADER = ("param,sqrtJ_gd_analytic,sqrtJ_gd_emp,sqrtJ_hinf_analytic,"
                 "sqrtJ_hinf_emp,sqrtJ_kalman_analytic,sqrtJ_kalman_emp")
@@ -81,37 +79,6 @@ def _write_meta(csv_path: str, doc: dict, preset: str | None, seed: int) -> str:
     return _write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-class SweepResult:
-    """Sweep outcome: one row per parameter value, two columns per tracker.
-
-    Cells hold sqrt(J) or None when that tracker was not run; +inf marks
-    a diverging cost and renders as an empty CSV field, same as None.
-    """
-
-    def __init__(self, param_values, sqrt_analytic, sqrt_empirical,
-                 preset=None, seed=0, version=""):
-        self.param_values = list(param_values)
-        self.sqrt_analytic = sqrt_analytic
-        self.sqrt_empirical = sqrt_empirical
-        self.preset = preset
-        self.seed = seed
-        self.version = version
-        for table in (sqrt_analytic, sqrt_empirical):
-            for name in _COLUMN_ORDER:
-                if len(table[name]) != len(self.param_values):
-                    raise ValueError("column lengths must match the parameter grid")
-
-    def to_csv_text(self) -> str:
-        lines = [SWEEP_HEADER]
-        for i, value in enumerate(self.param_values):
-            cells = [_fmt(value)]
-            for name in _COLUMN_ORDER:
-                cells.append(_fmt(self.sqrt_analytic[name][i]))
-                cells.append(_fmt(self.sqrt_empirical[name][i]))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
 def _kalman_mu(cfg: ExperimentConfig, scenario: QuadraticScenario, sigma2: float) -> float:
     mode = cfg.trackers.kalman_mu
     if mode == "search":
@@ -144,7 +111,11 @@ def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
                                 starts=spec.synthesis_starts,
                                 max_evals=spec.synthesis_max_evals,
                                 seed=scenario.seed)
-        out["hinf"] = precompensated_synthesize(ss_to_tf(scenario.model), interval, opts)
+        try:
+            out["hinf"] = precompensated_synthesize(ss_to_tf(scenario.model), interval, opts)
+        except NoStabilizingController:
+            # no start stabilizes the whole interval; columns stay empty
+            pass
     return out
 
 
@@ -176,14 +147,27 @@ def _sweep_point(cfg: ExperimentConfig, value: float) -> tuple:
     return analytic, empirical
 
 
-def run_sweep(cfg: ExperimentConfig, preset: str | None = None) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig) -> tuple:
+    """Parameter grid and the (analytic, empirical) cells at each point."""
     run = cfg.run
     values = [float(v) for v in np.linspace(run.sweep_lo, run.sweep_hi, run.sweep_points)]
-    points = parallel_map(lambda v: _sweep_point(cfg, v), values)
-    tables = ({name: [p[0][name] for p in points] for name in _COLUMN_ORDER},
-              {name: [p[1][name] for p in points] for name in _COLUMN_ORDER})
-    return SweepResult(values, tables[0], tables[1], preset=preset,
-                       seed=cfg.scenario.seed, version=_version_string(cfg.raw))
+    return values, [_sweep_point(cfg, v) for v in values]
+
+
+def _sweep_csv_text(values: list, points: list) -> str:
+    """One row per parameter value, sqrt(J) analytic and empirical per tracker.
+
+    A cell is None when that tracker was not run and +inf when its cost
+    diverges; both render as an empty field.
+    """
+    lines = [SWEEP_HEADER]
+    for value, (analytic, empirical) in zip(values, points):
+        cells = [_fmt(value)]
+        for name in _COLUMN_ORDER:
+            cells.append(_fmt(analytic[name]))
+            cells.append(_fmt(empirical[name]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def run_trace(cfg: ExperimentConfig) -> dict:
@@ -221,7 +205,7 @@ def execute_config(cfg: ExperimentConfig, preset: str | None = None) -> list:
     os.makedirs(cfg.out_dir, exist_ok=True)
     if cfg.run.sweep_param is not None:
         name = cfg.out_name or "sweep.csv"
-        text = run_sweep(cfg, preset).to_csv_text()
+        text = _sweep_csv_text(*run_sweep(cfg))
     else:
         name = cfg.out_name or "trace.csv"
         text = _trace_csv_text(cfg, run_trace(cfg))

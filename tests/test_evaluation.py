@@ -1,11 +1,13 @@
 """Cost evaluation tests: analytic, worst-case, Monte Carlo, traces."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
 from quadtrack.control_math import RngStream
-from quadtrack.errors import ConfigError, InvalidBounds
+from quadtrack.errors import InvalidBounds
 from quadtrack.evaluation import (
     ErrorTrace,
     analytic_cost,
@@ -13,9 +15,7 @@ from quadtrack.evaluation import (
     error_trace,
     mismatch_curve,
     moving_average,
-    parallel_map,
     robust_cost,
-    thread_count,
 )
 from quadtrack.lti import (
     FrequencyGrid,
@@ -27,8 +27,13 @@ from quadtrack.lti import (
     observable_canonical,
     ss_to_tf,
 )
-from quadtrack.scenario import STREAM_SIM_BASE, make_scenario
-from quadtrack.trackers import UncertaintyInterval, make_gd_tracker, make_kalman_tracker
+from quadtrack.scenario import STREAM_SIM_BASE, make_scenario, simulate_minimizer
+from quadtrack.trackers import (
+    UncertaintyInterval,
+    make_gd_tracker,
+    make_kalman_tracker,
+    tracker_step,
+)
 
 
 def stable_model(j=0.2):
@@ -174,39 +179,40 @@ def test_empirical_cost_validates_window():
         empirical_cost(sc, ctrl, 100, 10, 0, RngStream(0, 100))
 
 
-def test_empirical_cost_is_thread_count_invariant(monkeypatch):
+def reference_squared_errors(sc, ctrl, horizon, rng):
+    """|e_k|^2 from a loop over the validated tracker_step, on the same path."""
+    path = simulate_minimizer(sc.model, sc.n, horizon, sc.sigma, rng).values @ sc.basis.T
+    state = ctrl.initial_state(sc.n)
+    out = []
+    for k in range(horizon):
+        e = state.x - path[k]
+        out.append(float(e @ e))
+        state, _ = tracker_step(ctrl, state, sc.hessian @ e)
+    return out
+
+
+def test_error_kernel_matches_a_tracker_step_loop_bit_for_bit():
     model = stable_model()
-    sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=7)
-    ctrl = make_kalman_tracker(model, 1.0, 2.3)
+    sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=5)
+    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.3)]
+    horizon, burnin = 400, 40
 
-    monkeypatch.delenv("TRACKER_THREADS", raising=False)
-    serial = empirical_cost(sc, ctrl, 3000, 300, 4, RngStream(7, STREAM_SIM_BASE))
-    monkeypatch.setenv("TRACKER_THREADS", "3")
-    threaded = empirical_cost(sc, ctrl, 3000, 300, 4, RngStream(7, STREAM_SIM_BASE))
-    assert serial == threaded  # bit-identical, not merely close
+    def rng():
+        # a stream advances as it draws, so every run gets a fresh one
+        return RngStream(5, STREAM_SIM_BASE)
 
+    traces = error_trace(sc, ctrls, horizon, rng())
+    for ctrl, trace in zip(ctrls, traces):
+        ref = reference_squared_errors(sc, ctrl, horizon, rng())
+        assert trace.values.tolist() == [math.sqrt(v) for v in ref]
 
-# ----------------------------------------------------------------- threads
-
-
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("TRACKER_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("TRACKER_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("TRACKER_THREADS", "")
-    assert thread_count() == 1
-    monkeypatch.setenv("TRACKER_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_count()
-    monkeypatch.setenv("TRACKER_THREADS", "two")
-    with pytest.raises(ConfigError):
-        thread_count()
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("TRACKER_THREADS", "3")
-    assert parallel_map(lambda v: v * v, range(7)) == [v * v for v in range(7)]
+        # a single rep draws its path from stream split 0
+        ref = reference_squared_errors(sc, ctrl, horizon, rng().split(0))
+        acc = 0.0
+        for v in ref[burnin:]:
+            acc += v
+        mean, _ = empirical_cost(sc, ctrl, horizon, burnin, 1, rng())
+        assert mean == acc / (horizon - burnin)
 
 
 # ------------------------------------------------------------------ traces
