@@ -10,7 +10,7 @@ stream index          purpose
 ====================  =======================================
 0                     curvature spectrum
 1                     orthogonal eigenbasis
-100 + r               Monte Carlo repetition r (state init, then noise)
+100 + r               noise of Monte Carlo repetition r
 7000 + s              controller synthesis start s
 ====================  =======================================
 """
@@ -28,6 +28,7 @@ __all__ = [
     "MinimizerTrajectory",
     "draw_spectrum",
     "build_hessian",
+    "draw_noise",
     "simulate_minimizer",
     "make_scenario",
     "STREAM_SPECTRUM",
@@ -77,6 +78,22 @@ class MinimizerTrajectory:
     values: np.ndarray
 
 
+def draw_noise(n: int, horizon: int, sigma: float, rng: RngStream) -> np.ndarray:
+    """The (horizon, n) signal-model noise of one minimizer path.
+
+    Row k holds w_k: i.i.d. N(0, sigma^2), one entry per component.  Every
+    route that simulates a path draws its noise here, so the same stream
+    gives the same path.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    noise = rng.standard_normal((horizon, n))
+    noise *= sigma
+    return noise
+
+
 def simulate_minimizer(model: StateSpaceSISO, n: int, horizon: int, sigma: float,
                        rng: RngStream) -> MinimizerTrajectory:
     """Drive n independent copies of the signal model with white noise.
@@ -87,12 +104,8 @@ def simulate_minimizer(model: StateSpaceSISO, n: int, horizon: int, sigma: float
     predictable from its own past.  Initial states are zero.
     The result is bit-reproducible for fixed arguments.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
+    noise = draw_noise(n, horizon, sigma, rng)
     xi = np.zeros((model.order, n))
-    noise = sigma * rng.standard_normal((horizon, n))
     values = np.empty((horizon, n))
     f, g, h, j = model.F, model.G, model.H, model.j
     for k in range(horizon):

@@ -102,7 +102,7 @@ class TrackerController:
         return TrackerState(np.zeros((self.order, n)), np.zeros(n))
 
     def step(self, state: TrackerState, g: np.ndarray) -> TrackerState:
-        """Unvalidated single step; evaluation loops call this directly."""
+        """Unvalidated single step; `tracker_step` is the validated form."""
         new_states = self.F @ state.states + np.outer(self.G, g)
         return TrackerState(new_states, self.H @ new_states)
 

@@ -1,14 +1,18 @@
 """Cost evaluation tests: analytic, worst-case, Monte Carlo, traces."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from quadtrack.control_math import RngStream
 from quadtrack.errors import InvalidBounds
 from quadtrack.evaluation import (
+    _BLOCK_WIDTH,
     ErrorTrace,
     analytic_cost,
     empirical_cost,
@@ -191,28 +195,132 @@ def reference_squared_errors(sc, ctrl, horizon, rng):
     return out
 
 
-def test_error_kernel_matches_a_tracker_step_loop_bit_for_bit():
+def persistent_model(j=1.0):
+    """Resonant pair on the unit circle times a stable double pole."""
+    d_u = np.array([1.0, -2.0 * np.cos(np.pi / 12.0), 1.0])
+    f, h = observable_canonical(npoly.polymul(d_u, npoly.polyfromroots([0.875, 0.875])))
+    return StateSpaceSISO(f, np.ones(4), h, j)
+
+
+def block_length(n):
+    return max(1, _BLOCK_WIDTH // n)
+
+
+def sim_rng():
+    # a stream advances as it draws, so every run gets a fresh one
+    return RngStream(5, STREAM_SIM_BASE)
+
+
+def test_error_kernel_matches_a_tracker_step_loop_to_roundoff():
+    """The lifted kernel reorders the arithmetic of the step loop, so it
+    agrees to roundoff, not bit for bit: |e_k|^2 within 1e-10 of the
+    largest reference value and the Monte Carlo mean within 1e-12
+    relative.  The horizons cover a path shorter than one block, one
+    block exactly, and a short final block after several full ones."""
     model = stable_model()
     sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=5)
     ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.3)]
-    horizon, burnin = 400, 40
+    size = block_length(sc.n)
+    for horizon in (400, 1, size - 1, size, size + 1, 3 * size + 5):
+        burnin = horizon // 10
+        traces = error_trace(sc, ctrls, horizon, sim_rng())
+        for ctrl, trace in zip(ctrls, traces):
+            ref = np.array(reference_squared_errors(sc, ctrl, horizon, sim_rng()))
+            assert np.max(np.abs(trace.values ** 2 - ref)) <= 1e-10 * np.max(ref)
 
-    def rng():
-        # a stream advances as it draws, so every run gets a fresh one
-        return RngStream(5, STREAM_SIM_BASE)
+            # a single rep draws its path from stream split 0
+            ref = reference_squared_errors(sc, ctrl, horizon, sim_rng().split(0))
+            acc = 0.0
+            for v in ref[burnin:]:
+                acc += v
+            mean, _ = empirical_cost(sc, ctrl, horizon, burnin, 1, sim_rng())
+            assert mean == pytest.approx(acc / (horizon - burnin), rel=1e-12)
 
-    traces = error_trace(sc, ctrls, horizon, rng())
-    for ctrl, trace in zip(ctrls, traces):
-        ref = reference_squared_errors(sc, ctrl, horizon, rng())
-        assert trace.values.tolist() == [math.sqrt(v) for v in ref]
 
-        # a single rep draws its path from stream split 0
-        ref = reference_squared_errors(sc, ctrl, horizon, rng().split(0))
-        acc = 0.0
-        for v in ref[burnin:]:
-            acc += v
-        mean, _ = empirical_cost(sc, ctrl, horizon, burnin, 1, rng())
-        assert mean == acc / (horizon - burnin)
+def test_error_kernel_tracks_a_persistent_model_to_roundoff():
+    """On the persistent model the signal state grows without bound, and
+    the filter tracker carries the same undamped modes.  Roundoff then
+    grows with the path, so the bound scales with its peak |c_k|^2."""
+    model = persistent_model()
+    sc = make_scenario(3, 2.0, 2.3, model, 1.0, seed=1)
+    ctrl = make_kalman_tracker(model, 1.0, 2.15)
+    assert loop_stable(ss_to_tf(model), ctrl.tf, sc.spectrum).all()
+    horizon = 2000
+    path = simulate_minimizer(model, sc.n, horizon, sc.sigma, sim_rng()).values
+    peak = float(np.max(np.sum(path ** 2, axis=1)))
+    ref = np.array(reference_squared_errors(sc, ctrl, horizon, sim_rng()))
+    got = error_trace(sc, [ctrl], horizon, sim_rng())[0].values ** 2
+    assert np.max(np.abs(got - ref)) <= 1e-13 * peak
+
+
+def test_monte_carlo_never_reads_the_transfer_function():
+    """A wrong transfer function on the controller changes no bit of the
+    Monte Carlo route: it simulates the realization only."""
+    model = stable_model()
+    sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=5)
+    ctrl = make_kalman_tracker(model, 1.0, 2.3)
+    wrong = dataclasses.replace(ctrl, tf=TransferFunctionSISO([0.7], [0.5, 1.0]))
+    assert empirical_cost(sc, ctrl, 700, 70, 2, sim_rng()) == \
+        empirical_cost(sc, wrong, 700, 70, 2, sim_rng())
+    right, = error_trace(sc, [ctrl], 700, sim_rng())
+    swapped, = error_trace(sc, [wrong], 700, sim_rng())
+    assert np.array_equal(right.values, swapped.values)
+
+
+def test_empirical_cost_reps_are_independent_single_rep_runs():
+    """Rep r of a three-rep run is the one-rep run on stream split r, bit
+    for bit, and the mean and stderr are built from those three."""
+    model = stable_model()
+    sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=5)
+    ctrl = make_kalman_tracker(model, 1.0, 2.3)
+    means = [empirical_cost(sc, ctrl, 500, 50, 1, sim_rng().split(r))[0] for r in range(3)]
+    mean, stderr = empirical_cost(sc, ctrl, 500, 50, 3, sim_rng())
+    assert mean == float(np.mean(means))
+    assert stderr == float(np.std(means, ddof=1) / math.sqrt(3))
+
+
+def test_error_trace_without_trackers_draws_nothing():
+    sc = make_scenario(2, 1.5, 2.5, stable_model(), 1.0, seed=5)
+    rng = sim_rng()
+    assert error_trace(sc, [], 100, rng) == []
+    assert np.array_equal(rng.standard_normal(4), sim_rng().standard_normal(4))
+
+
+@st.composite
+def stable_models(draw):
+    """A random stable signal model with input weights and feedthrough."""
+    roots = [draw(st.floats(-0.95, 0.95))]
+    if draw(st.booleans()):
+        r = draw(st.floats(0.05, 0.95))
+        th = draw(st.floats(0.1, np.pi - 0.1))
+        roots += [r * np.exp(1j * th), r * np.exp(-1j * th)]
+    f, h = observable_canonical(npoly.polyfromroots(np.asarray(roots, dtype=complex)).real)
+    g = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=len(roots),
+                               max_size=len(roots))))
+    return StateSpaceSISO(f, g, h, draw(st.floats(-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("kind", ["gd", "kalman"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(max_examples=8)
+@given(model=stable_models(), lo=st.floats(0.5, 3.0), spread=st.floats(1.0, 1.3),
+       sigma=st.floats(0.1, 2.0), seed=st.integers(0, 2 ** 16),
+       alpha=st.floats(0.05, 1.9), blocks=st.integers(0, 2), offset=st.integers(0, 1000))
+def test_error_kernel_matches_the_step_loop_on_random_stable_loops(
+        n, kind, model, lo, spread, sigma, seed, alpha, blocks, offset):
+    """Within roundoff of the step loop on random stable loops, for horizons
+    from one step to two blocks plus a tail."""
+    sc = make_scenario(n, lo, lo * spread, model, sigma, seed)
+    if kind == "gd":
+        ctrl = make_gd_tracker(alpha / sc.lambda_max)
+    else:
+        ctrl = make_kalman_tracker(model, 1.0, 0.5 * (sc.lambda_min + sc.lambda_max))
+    assume(loop_stable(ss_to_tf(model), ctrl.tf, sc.spectrum).all())
+    size = block_length(n)
+    horizon = blocks * size + offset % size + 1
+    ref = np.array(reference_squared_errors(sc, ctrl, horizon, sim_rng()))
+    got = error_trace(sc, [ctrl], horizon, sim_rng())[0].values ** 2
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 
 # ------------------------------------------------------------------ traces
