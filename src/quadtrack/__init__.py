@@ -8,143 +8,4 @@ and by simulation.  The `tracker` command line front end reproduces the
 benchmark experiments as CSV files.
 """
 
-from .control_math import (
-    RngStream,
-    chebyshev_grid,
-    polynomial_roots,
-    random_orthogonal,
-    solve_dare,
-    solve_discrete_lyapunov,
-    spectral_radius,
-)
-from .errors import (
-    AlgebraicLoop,
-    ConfigError,
-    DimensionMismatch,
-    InvalidBounds,
-    InvalidDensity,
-    InvalidSpectrum,
-    NoStabilizingController,
-    NotConverged,
-    QuadtrackError,
-    SingularInnovation,
-    UnknownPreset,
-)
-from .evaluation import (
-    CostReport,
-    ErrorTrace,
-    analytic_cost,
-    empirical_cost,
-    error_trace,
-    mismatch_curve,
-    moving_average,
-    robust_cost,
-)
-from .lti import (
-    FrequencyGrid,
-    StateSpaceSISO,
-    TransferFunctionSISO,
-    closed_loop_error_tf,
-    h2_norm_sq_exact,
-    h2_norm_sq_freq,
-    hinf_norm,
-    is_internally_stable,
-    loop_norms,
-    loop_stable,
-    observable_canonical,
-    ss_to_tf,
-    tf_to_ss,
-)
-from .scenario import (
-    MinimizerTrajectory,
-    QuadraticScenario,
-    build_hessian,
-    draw_spectrum,
-    make_scenario,
-    simulate_minimizer,
-)
-from .synthesis import SynthesisOptions, hinf_synthesize, precompensated_synthesize
-from .trackers import (
-    TrackerController,
-    TrackerState,
-    UncertaintyInterval,
-    controller_from_dict,
-    controller_to_dict,
-    factor_poles,
-    kalman_gain,
-    make_gd_tracker,
-    make_kalman_tracker,
-    mu_star_from_density,
-    mu_star_from_eigs,
-    mu_star_search,
-    mu_star_uniform,
-    tracker_step,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraicLoop",
-    "ConfigError",
-    "CostReport",
-    "DimensionMismatch",
-    "ErrorTrace",
-    "FrequencyGrid",
-    "InvalidBounds",
-    "InvalidDensity",
-    "InvalidSpectrum",
-    "MinimizerTrajectory",
-    "NoStabilizingController",
-    "NotConverged",
-    "QuadraticScenario",
-    "QuadtrackError",
-    "RngStream",
-    "SingularInnovation",
-    "StateSpaceSISO",
-    "SynthesisOptions",
-    "TrackerController",
-    "TrackerState",
-    "TransferFunctionSISO",
-    "UncertaintyInterval",
-    "UnknownPreset",
-    "analytic_cost",
-    "build_hessian",
-    "chebyshev_grid",
-    "closed_loop_error_tf",
-    "controller_from_dict",
-    "controller_to_dict",
-    "draw_spectrum",
-    "empirical_cost",
-    "error_trace",
-    "factor_poles",
-    "h2_norm_sq_exact",
-    "h2_norm_sq_freq",
-    "hinf_norm",
-    "hinf_synthesize",
-    "is_internally_stable",
-    "kalman_gain",
-    "loop_norms",
-    "loop_stable",
-    "make_gd_tracker",
-    "make_kalman_tracker",
-    "make_scenario",
-    "mismatch_curve",
-    "moving_average",
-    "mu_star_from_density",
-    "mu_star_from_eigs",
-    "mu_star_search",
-    "mu_star_uniform",
-    "observable_canonical",
-    "polynomial_roots",
-    "precompensated_synthesize",
-    "random_orthogonal",
-    "robust_cost",
-    "simulate_minimizer",
-    "solve_dare",
-    "solve_discrete_lyapunov",
-    "spectral_radius",
-    "ss_to_tf",
-    "tf_to_ss",
-    "tracker_step",
-    "__version__",
-]

@@ -2,9 +2,11 @@
 
 Every validation failure raises ConfigError naming the dotted field path
 (for example "scenario.lambda_min"), so a bad file is diagnosable from
-the message alone.  Parsed configs are plain dataclasses; the builders
-at the bottom turn them into live scenario objects, applying the sweep
-overrides for a single sweep point.
+the message alone.  A key the format does not define is an error too,
+so a misspelled option cannot fall back to its default unnoticed.
+Parsed configs are plain dataclasses; the builders at the bottom turn
+them into live scenario objects, applying the sweep overrides for a
+single sweep point.
 """
 
 import json
@@ -23,9 +25,29 @@ __all__ = ["ScenarioSpec", "TrackerSpec", "RunSpec", "ExperimentConfig",
 TRACKER_NAMES = ("gd", "kalman", "hinf")
 SWEEP_PARAMS = ("j", "lambda_max")
 
+# The keys each object of the document may hold.
+_ROOT_KEYS = ("scenario", "trackers", "run", "output")
+_SCENARIO_KEYS = ("n", "lambda_min", "lambda_max", "sigma", "d_stable", "d_unstable",
+                  "j", "g", "seed")
+_TRACKER_KEYS = ("use", "gd_alpha", "kalman_mu", "hinf_order", "hinf_grid",
+                 "synthesis_starts", "synthesis_max_evals")
+_RUN_KEYS = ("horizon", "burnin", "reps", "window", "sweep")
+_SWEEP_KEYS = ("param", "lo", "hi", "points")
+_OUTPUT_KEYS = ("dir", "name")
+
 
 def _ctx(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def _object(doc, path: str, known: tuple) -> dict:
+    """doc itself, once it is a JSON object holding only the known keys."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object")
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown field {_ctx(path, key)}")
+    return doc
 
 
 def _get(doc: dict, key: str, path: str, required: bool, default=None):
@@ -115,8 +137,7 @@ class ExperimentConfig:
 
 
 def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
+    _object(doc, path, _SCENARIO_KEYS)
     n = _as_int(_get(doc, "n", path, True), _ctx(path, "n"), minimum=1)
     lambda_min = _as_real(_get(doc, "lambda_min", path, False, 1.0), _ctx(path, "lambda_min"))
     lambda_max = _as_real(_get(doc, "lambda_max", path, True), _ctx(path, "lambda_max"))
@@ -150,6 +171,9 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
         if len(g) != order:
             raise ConfigError(f"{_ctx(path, 'g')} must have length {order} "
                               f"(the model order), got {len(g)}")
+        if j == 0.0 and not any(g):
+            raise ConfigError(f"{_ctx(path, 'g')} is all zeros and j is 0: the signal "
+                              f"model is zero, so the minimizer never moves")
     seed = _as_int(_get(doc, "seed", path, True), _ctx(path, "seed"))
     if d_stable.size + d_unstable.size - 2 < 1:
         raise ConfigError(f"{path}: model order is zero; give d_stable or d_unstable "
@@ -161,8 +185,7 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
 def _validate_trackers(doc, path="trackers") -> TrackerSpec:
     if doc is None:
         doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
+    _object(doc, path, _TRACKER_KEYS)
     use = _get(doc, "use", path, False, list(TRACKER_NAMES))
     if not isinstance(use, (list, tuple)) or len(use) == 0:
         raise ConfigError(f"{_ctx(path, 'use')} must be a nonempty list")
@@ -198,8 +221,7 @@ def _validate_trackers(doc, path="trackers") -> TrackerSpec:
 
 
 def _validate_run(doc, scenario: ScenarioSpec, path="run") -> RunSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
+    _object(doc, path, _RUN_KEYS)
     horizon = _as_int(_get(doc, "horizon", path, True), _ctx(path, "horizon"), minimum=1)
     burnin = _get(doc, "burnin", path, False)
     if burnin is None:
@@ -215,8 +237,7 @@ def _validate_run(doc, scenario: ScenarioSpec, path="run") -> RunSpec:
     if sweep is None:
         return RunSpec(horizon, burnin, reps, None, 0.0, 0.0, 0, window)
     spath = _ctx(path, "sweep")
-    if not isinstance(sweep, dict):
-        raise ConfigError(f"{spath} must be an object")
+    _object(sweep, spath, _SWEEP_KEYS)
     param = _get(sweep, "param", spath, True)
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"{_ctx(spath, 'param')} must be one of {list(SWEEP_PARAMS)}, "
@@ -229,6 +250,10 @@ def _validate_run(doc, scenario: ScenarioSpec, path="run") -> RunSpec:
                      minimum=1)
     if points == 1 and lo != hi:
         raise ConfigError(f"{spath}: a 1-point sweep needs lo == hi, got [{lo}, {hi}]")
+    zero_g = not isinstance(scenario.g, str) and not any(scenario.g)
+    if param == "j" and zero_g and lo <= 0.0 <= hi:
+        raise ConfigError(f"{spath}: scenario.g is all zeros, so the swept j reaches the "
+                          f"zero signal model at j = 0")
     if param == "lambda_max" and lo < scenario.lambda_min:
         raise ConfigError(f"{spath}: swept lambda_max starts below scenario.lambda_min "
                           f"({lo} < {scenario.lambda_min})")
@@ -236,14 +261,11 @@ def _validate_run(doc, scenario: ScenarioSpec, path="run") -> RunSpec:
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+    _object(doc, "", _ROOT_KEYS)
     scenario = _validate_scenario(_get(doc, "scenario", "", True))
     trackers = _validate_trackers(_get(doc, "trackers", "", False))
     run = _validate_run(_get(doc, "run", "", True), scenario)
-    output = _get(doc, "output", "", False, {})
-    if not isinstance(output, dict):
-        raise ConfigError("output must be an object")
+    output = _object(_get(doc, "output", "", False, {}), "output", _OUTPUT_KEYS)
     out_dir = _get(output, "dir", "output", False, ".")
     if not isinstance(out_dir, str) or out_dir == "":
         raise ConfigError("output.dir must be a nonempty string")

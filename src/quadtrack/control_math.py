@@ -199,7 +199,11 @@ def _dare_spectral_candidate(f, g, h, j, sigma2):
     return p
 
 
-def _dare_iterate(f, g, h, j, sigma2, max_iter) -> np.ndarray:
+# Iteration cap of the fallback Riccati recursion.
+_DARE_MAX_ITER = 100_000
+
+
+def _dare_iterate(f, g, h, j, sigma2) -> np.ndarray:
     """Riccati difference recursion from P0 = s2 G G^T.
 
     Sublinear on degenerate inputs (circle zeros) and non-convergent when
@@ -207,7 +211,7 @@ def _dare_iterate(f, g, h, j, sigma2, max_iter) -> np.ndarray:
     up the spectral construction; the caller verifies the residual.
     """
     p = sigma2 * np.outer(g, g)
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_ITER):
         p_next = _dare_rhs(p, f, g, h, j, sigma2)
         delta = np.linalg.norm(p_next - p, "fro")
         p = p_next
@@ -216,7 +220,7 @@ def _dare_iterate(f, g, h, j, sigma2, max_iter) -> np.ndarray:
     return p
 
 
-def solve_dare(f, g, h, j, sigma2, max_iter: int = 100_000) -> np.ndarray:
+def solve_dare(f, g, h, j, sigma2) -> np.ndarray:
     """Steady-state filtering Riccati equation with shared process/output noise.
 
     Solves ``P = F P F^T + s2 G G^T - (F P H^T + s2 G j)(H P H^T + s2 j^2)^-1
@@ -241,7 +245,6 @@ def solve_dare(f, g, h, j, sigma2, max_iter: int = 100_000) -> np.ndarray:
     h : (m,) output vector.
     j : direct feedthrough scalar.
     sigma2 : noise variance, positive.
-    max_iter : iteration cap for the fallback recursion.
 
     Returns
     -------
@@ -265,7 +268,7 @@ def solve_dare(f, g, h, j, sigma2, max_iter: int = 100_000) -> np.ndarray:
 
     p = _dare_spectral_candidate(f, g, h, j, sigma2)
     if p is None:
-        p = _dare_iterate(f, g, h, j, sigma2, max_iter)
+        p = _dare_iterate(f, g, h, j, sigma2)
 
     res = np.linalg.norm(_dare_rhs(p, f, g, h, j, sigma2) - p, "fro")
     scale = max(1.0, np.linalg.norm(p, "fro"))

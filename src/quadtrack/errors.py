@@ -40,6 +40,10 @@ class NoStabilizingController(QuadtrackError):
 class UnknownPreset(QuadtrackError, KeyError):
     """Requested benchmark preset name does not exist."""
 
+    def __str__(self):
+        # the plain message; KeyError's own __str__ would put it in quotes
+        return Exception.__str__(self)
+
 
 class ConfigError(QuadtrackError, ValueError):
     """Experiment configuration is missing or malformed; message names the field."""

@@ -17,7 +17,7 @@ stream, so the numbers are bit-identical from run to run.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .scenario import QuadraticScenario, draw_noise
 from .trackers import UncertaintyInterval, make_kalman_tracker
 
 __all__ = [
-    "CostReport",
     "ErrorTrace",
     "analytic_cost",
     "robust_cost",
@@ -37,22 +36,6 @@ __all__ = [
     "moving_average",
     "mismatch_curve",
 ]
-
-
-@dataclass
-class CostReport:
-    """Bundle of every cost figure for one tracker on one scenario.
-
-    analytic_J is finite exactly when every entry of per_lambda_stable is
-    true; robust_Jhat refers to the curvature interval, not the realized
-    eigenvalues, so it can be infinite while analytic_J is finite.
-    """
-
-    analytic_J: float
-    robust_Jhat: float
-    empirical_J: float
-    empirical_stderr: float
-    per_lambda_stable: list = field(default_factory=list)
 
 
 @dataclass

@@ -433,10 +433,10 @@ def _golden_max(f, lo, hi):
     return max(fc, fd)
 
 
-def hinf_norm(w: TransferFunctionSISO, grid: FrequencyGrid | None = None) -> float:
+def hinf_norm(w: TransferFunctionSISO) -> float:
     """Peak gain sup |w(e^{i theta})| over the unit circle.
 
-    Coarse grid search (4096 points by default) followed by golden-section
+    Coarse grid search (4096 points) followed by golden-section
     refinement around the grid argmax; the refined peak is accurate to a
     relative 1e-6.  Returns +inf when any pole has modulus >= 1 - 1e-9.
     """
@@ -446,8 +446,7 @@ def hinf_norm(w: TransferFunctionSISO, grid: FrequencyGrid | None = None) -> flo
         poles = polynomial_roots(w.den)
         if np.max(np.abs(poles)) >= 1.0 - STABILITY_MARGIN:
             return float("inf")
-    if grid is None:
-        grid = FrequencyGrid(4096)
+    grid = FrequencyGrid(4096)
     theta = grid.angles()
     mags = np.abs(w(np.exp(1j * theta)))
     k = int(np.argmax(mags))

@@ -17,14 +17,7 @@ from . import __version__
 from .config import ExperimentConfig, build_scenario, parse_config, validate_config
 from .control_math import RngStream, chebyshev_grid
 from .errors import NoStabilizingController, UnknownPreset
-from .evaluation import (
-    CostReport,
-    analytic_cost,
-    empirical_cost,
-    error_trace,
-    moving_average,
-    robust_cost,
-)
+from .evaluation import analytic_cost, empirical_cost, error_trace, moving_average
 from .lti import loop_norms, loop_stable, ss_to_tf
 from .presets import PRESET_NAMES, preset_document
 from .scenario import STREAM_SIM_BASE, QuadraticScenario
@@ -90,6 +83,13 @@ def _kalman_mu(cfg: ExperimentConfig, scenario: QuadraticScenario, sigma2: float
     return float(mode)
 
 
+def _synthesis_options(cfg: ExperimentConfig, scenario: QuadraticScenario) -> SynthesisOptions:
+    spec = cfg.trackers
+    return SynthesisOptions(order=spec.hinf_order, grid_points=spec.hinf_grid,
+                            starts=spec.synthesis_starts,
+                            max_evals=spec.synthesis_max_evals, seed=scenario.seed)
+
+
 def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
     spec = cfg.trackers
     interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
@@ -107,12 +107,9 @@ def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
             # tracker diverges for every tuning, so its columns stay empty
             pass
     if "hinf" in spec.use:
-        opts = SynthesisOptions(order=spec.hinf_order, grid_points=spec.hinf_grid,
-                                starts=spec.synthesis_starts,
-                                max_evals=spec.synthesis_max_evals,
-                                seed=scenario.seed)
         try:
-            out["hinf"] = precompensated_synthesize(ss_to_tf(scenario.model), interval, opts)
+            out["hinf"] = precompensated_synthesize(ss_to_tf(scenario.model), interval,
+                                                    _synthesis_options(cfg, scenario))
         except NoStabilizingController:
             # no start stabilizes the whole interval; columns stay empty
             pass
@@ -236,66 +233,54 @@ def synthesize_cmd(config_path: str, out_path: str) -> str:
     cfg = parse_config(config_path)
     scenario = build_scenario(cfg.scenario)
     interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
-    spec = cfg.trackers
-    opts = SynthesisOptions(order=spec.hinf_order, grid_points=spec.hinf_grid,
-                            starts=spec.synthesis_starts,
-                            max_evals=spec.synthesis_max_evals, seed=scenario.seed)
     h = ss_to_tf(scenario.model)
-    ctrl = precompensated_synthesize(h, interval, opts)
+    ctrl = precompensated_synthesize(h, interval, _synthesis_options(cfg, scenario))
     _write_text(out_path, json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
-    grid = chebyshev_grid(interval.lambda_min, interval.lambda_max, spec.hinf_grid)
+    grid = chebyshev_grid(interval.lambda_min, interval.lambda_max, cfg.trackers.hinf_grid)
     stable = loop_stable(h, ctrl.tf, grid)
     print(f"Jhat = {ctrl.gamma:.17g}")
     print(f"stable at {int(stable.sum())}/{stable.size} grid points")
     return out_path
 
 
-def _load_controller(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return controller_from_dict(doc)
-
-
 def evaluate_cmd(controller_path: str, config_path: str) -> list:
     """Report every cost figure for a stored controller on a scenario.
 
-    Prints the CostReport fields and writes a per-curvature table
-    (stability flag and both norms) across the interval grid.
+    Prints the analytic, worst-case and empirical costs and how many
+    realized curvatures give a stable loop, and writes a per-curvature
+    table (stability flag and both norms) across the interval grid.
     """
     cfg = parse_config(config_path)
-    ctrl = _load_controller(controller_path)
+    with open(controller_path, "r", encoding="utf-8") as fh:
+        ctrl = controller_from_dict(json.load(fh))
     scenario = build_scenario(cfg.scenario)
     h = ss_to_tf(scenario.model)
-    interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
-    sigma2 = scenario.sigma ** 2
-    flags = loop_stable(h, ctrl.tf, scenario.spectrum).tolist()
-    analytic = analytic_cost(h, ctrl.tf, scenario.spectrum, sigma2)
-    robust = robust_cost(h, ctrl.tf, interval, cfg.trackers.hinf_grid)
+    flags = loop_stable(h, ctrl.tf, scenario.spectrum)
+    analytic = analytic_cost(h, ctrl.tf, scenario.spectrum, scenario.sigma ** 2)
     if math.isfinite(analytic):
         emp_mean, emp_stderr = empirical_cost(
             scenario, ctrl, cfg.run.horizon, cfg.run.burnin, cfg.run.reps,
             RngStream(scenario.seed, STREAM_SIM_BASE))
     else:
         emp_mean, emp_stderr = float("inf"), 0.0
-    report = CostReport(analytic, robust, emp_mean, emp_stderr, flags)
+    grid = chebyshev_grid(scenario.lambda_min, scenario.lambda_max, cfg.trackers.hinf_grid)
+    stable = loop_stable(h, ctrl.tf, grid).tolist()
+    h2_sq, hinf = loop_norms(h, ctrl.tf, grid, peak=True)
+    # hinf is +inf wherever the loop is unstable, so this is robust_cost on the grid
+    robust = max(hinf.tolist())
 
     def show(value):
         return f"{value:.17g}" if math.isfinite(value) else "inf"
 
-    print(f"analytic_J = {show(report.analytic_J)}")
-    print(f"robust_Jhat = {show(report.robust_Jhat)}")
-    print(f"empirical_J = {show(report.empirical_J)}")
-    print(f"empirical_stderr = {show(report.empirical_stderr)}")
-    print(f"per_lambda_stable = {sum(report.per_lambda_stable)}/"
-          f"{len(report.per_lambda_stable)}")
+    print(f"analytic_J = {show(analytic)}")
+    print(f"robust_Jhat = {show(robust)}")
+    print(f"empirical_J = {show(emp_mean)}")
+    print(f"empirical_stderr = {show(emp_stderr)}")
+    print(f"per_lambda_stable = {int(flags.sum())}/{flags.size}")
 
-    grid = chebyshev_grid(interval.lambda_min, interval.lambda_max,
-                          cfg.trackers.hinf_grid)
-    h2_sq, hinf = loop_norms(h, ctrl.tf, grid, peak=True)
     lines = ["lambda,stable,h2_norm_sq,hinf_norm"]
-    for lam, stable, h2, peak in zip(grid.tolist(), loop_stable(h, ctrl.tf, grid).tolist(),
-                                     h2_sq.tolist(), hinf.tolist()):
-        lines.append(f"{_fmt(lam)},true,{_fmt(h2)},{_fmt(peak)}" if stable
+    for lam, ok, h2, peak in zip(grid.tolist(), stable, h2_sq.tolist(), hinf.tolist()):
+        lines.append(f"{_fmt(lam)},true,{_fmt(h2)},{_fmt(peak)}" if ok
                      else f"{_fmt(lam)},false,,")
     os.makedirs(cfg.out_dir, exist_ok=True)
     table_path = _write_text(os.path.join(cfg.out_dir, "evaluation.csv"),

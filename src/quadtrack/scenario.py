@@ -27,7 +27,6 @@ __all__ = [
     "QuadraticScenario",
     "MinimizerTrajectory",
     "draw_spectrum",
-    "build_hessian",
     "draw_noise",
     "simulate_minimizer",
     "make_scenario",
@@ -53,22 +52,6 @@ def draw_spectrum(n: int, lambda_min: float, lambda_max: float,
             f"need 0 < lambda_min <= lambda_max, got [{lambda_min}, {lambda_max}]"
         )
     return rng.uniform(lambda_min, lambda_max, n)
-
-
-def _assemble_hessian(basis: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    a = (basis * spectrum) @ basis.T
-    return 0.5 * (a + a.T)
-
-
-def build_hessian(spectrum, rng: RngStream) -> np.ndarray:
-    """Symmetric matrix with the given eigenvalues in a Haar-random basis."""
-    spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.ndim != 1 or spectrum.size < 1:
-        raise InvalidSpectrum("spectrum must be a nonempty 1-D array")
-    if np.any(spectrum <= 0.0):
-        raise InvalidSpectrum("spectrum entries must be positive")
-    basis = random_orthogonal(spectrum.size, rng)
-    return _assemble_hessian(basis, spectrum)
 
 
 @dataclass
@@ -154,6 +137,7 @@ def make_scenario(n: int, lambda_min: float, lambda_max: float,
     """Draw the random pieces of a scenario from their dedicated streams."""
     spectrum = draw_spectrum(n, lambda_min, lambda_max, RngStream(seed, STREAM_SPECTRUM))
     basis = random_orthogonal(n, RngStream(seed, STREAM_BASIS))
-    hessian = _assemble_hessian(basis, spectrum)
+    a = (basis * spectrum) @ basis.T
+    hessian = 0.5 * (a + a.T)
     return QuadraticScenario(n, lambda_min, lambda_max, spectrum, basis,
                              hessian, model, sigma, seed)

@@ -59,18 +59,6 @@ class UncertaintyInterval:
                 f"[{self.lambda_min}, {self.lambda_max}]"
             )
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lambda_min + self.lambda_max)
-
-    @property
-    def half_range(self) -> float:
-        return 0.5 * (self.lambda_max - self.lambda_min)
-
-    def at(self, delta: float) -> float:
-        """Map delta in [-1, 1] to midpoint + half_range * delta."""
-        return self.midpoint + self.half_range * delta
-
 
 @dataclass
 class TrackerState:

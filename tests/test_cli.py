@@ -25,6 +25,7 @@ def test_unknown_preset_fails_cleanly(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "no-such-benchmark" in err
+    assert err.startswith("error: unknown preset")
 
 
 def test_missing_required_field_names_the_path(tmp_path, capsys):
@@ -34,6 +35,49 @@ def test_missing_required_field_names_the_path(tmp_path, capsys):
     rc = main(["run", "--config", cfg])
     assert rc == 1
     assert "scenario.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["outptu", "scenario.sigmaa", "trackers.hinf_gird",
+                                  "run.burn_in", "run.sweep.point", "output.nmae"])
+def test_unknown_config_key_names_its_path(tmp_path, capsys, path):
+    doc = {
+        "scenario": stable_scenario(),
+        "trackers": {"use": ["gd"]},
+        "run": {"horizon": 100, "sweep": {"param": "j", "lo": 0.5, "hi": 0.5, "points": 1}},
+        "output": {"dir": str(tmp_path)},
+    }
+    *where, key = path.split(".")
+    block = doc
+    for name in where:
+        block = block[name]
+    block[key] = 1
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 1
+    assert f"unknown field {path}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, scenario, run", [
+    ("run", {}, {}),
+    ("synthesize", {}, {}),
+    ("run", {"j": 0.5}, {"sweep": {"param": "j", "lo": 0.0, "hi": 1.0, "points": 3}}),
+], ids=["run", "synthesize", "j-sweep"])
+def test_zero_signal_model_is_rejected(tmp_path, capsys, command, scenario, run):
+    # g = 0 and j = 0: the minimizer never moves, so there is nothing to
+    # track and the filter's innovation variance is zero
+    doc = {
+        "scenario": {**stable_scenario(), "g": [0.0], "j": 0.0, **scenario},
+        "trackers": {"use": ["kalman", "hinf"], "hinf_grid": 5},
+        "run": {"horizon": 100, **run},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    args = {"run": ["run", "--config", cfg],
+            "synthesize": ["synthesize", "--config", cfg,
+                           "--out", str(tmp_path / "controller.json")]}[command]
+    assert main(args) == 1
+    assert "scenario.g" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
 
 def test_config_parse_error_reports_location(tmp_path, capsys):

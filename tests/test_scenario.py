@@ -7,10 +7,8 @@ from quadtrack.control_math import RngStream
 from quadtrack.errors import InvalidBounds, InvalidSpectrum
 from quadtrack.lti import StateSpaceSISO, observable_canonical, ss_to_tf, h2_norm_sq_exact
 from quadtrack.scenario import (
-    STREAM_BASIS,
     STREAM_SIM_BASE,
     STREAM_SPECTRUM,
-    build_hessian,
     draw_spectrum,
     make_scenario,
     simulate_minimizer,
@@ -42,18 +40,6 @@ def test_draw_spectrum_validates_arguments():
         draw_spectrum(3, 2.0, 1.0, RngStream(0, 0))
     with pytest.raises(InvalidBounds):
         draw_spectrum(3, 0.0, 1.0, RngStream(0, 0))
-
-
-def test_build_hessian_realizes_spectrum():
-    spectrum = np.array([1.0, 2.0, 3.5])
-    a = build_hessian(spectrum, RngStream(3, STREAM_BASIS))
-    assert np.allclose(a, a.T)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(a)), np.sort(spectrum), atol=1e-10)
-
-
-def test_build_hessian_rejects_nonpositive_eigenvalues():
-    with pytest.raises(InvalidSpectrum):
-        build_hessian([1.0, 0.0], RngStream(0, 0))
 
 
 def test_simulate_minimizer_matches_reference_recursion():
