@@ -1,7 +1,6 @@
 """The `tracker` command line: presets, config runs, synthesis, evaluation."""
 
 import argparse
-import json
 import sys
 
 from .errors import QuadtrackError
@@ -47,10 +46,8 @@ def main(argv=None) -> int:
             written = [synthesize_cmd(args.config, args.out)]
         else:
             written = evaluate_cmd(args.controller, args.config)
-    except QuadtrackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (QuadtrackError, OSError, KeyError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in written:

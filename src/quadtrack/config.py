@@ -4,9 +4,10 @@ Every validation failure raises ConfigError naming the dotted field path
 (for example "scenario.lambda_min"), so a bad file is diagnosable from
 the message alone.  A key the format does not define is an error too,
 so a misspelled option cannot fall back to its default unnoticed.
-Parsed configs are plain dataclasses; the builders at the bottom turn
-them into live scenario objects, applying the sweep overrides for a
-single sweep point.
+Parsed configs are plain dataclasses; `build_scenario` at the bottom
+turns a scenario spec into a live scenario object.  A sweep point is the
+spec with its swept field replaced (`dataclasses.replace`), because each
+sweep parameter is the name of a `ScenarioSpec` field.
 """
 
 import json
@@ -15,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .control_math import STABILITY_MARGIN, polynomial_roots
 from .errors import ConfigError
 from .lti import StateSpaceSISO, observable_canonical
 from .scenario import QuadraticScenario, make_scenario
 
 __all__ = ["ScenarioSpec", "TrackerSpec", "RunSpec", "ExperimentConfig",
-           "parse_config", "validate_config", "build_model", "build_scenario"]
+           "parse_config", "validate_config", "build_scenario"]
 
 TRACKER_NAMES = ("gd", "kalman", "hinf")
 SWEEP_PARAMS = ("j", "lambda_max")
@@ -84,12 +86,6 @@ def _as_poly(value, where: str) -> np.ndarray:
     return coeffs / coeffs[-1]
 
 
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    if coeffs.size == 1:
-        return np.zeros(0)
-    return npoly.polyroots(coeffs)
-
-
 @dataclass
 class ScenarioSpec:
     n: int
@@ -148,16 +144,16 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
     if sigma < 0.0:
         raise ConfigError(f"{_ctx(path, 'sigma')} must be nonnegative")
     d_stable = _as_poly(_get(doc, "d_stable", path, False, [1.0]), _ctx(path, "d_stable"))
-    roots = _poly_roots(d_stable)
-    if roots.size and np.max(np.abs(roots)) >= 1.0 - 1e-9:
+    if (d_stable.size > 1
+            and np.max(np.abs(polynomial_roots(d_stable))) >= 1.0 - STABILITY_MARGIN):
         raise ConfigError(f"{_ctx(path, 'd_stable')} must have all roots strictly inside "
                           f"the unit circle")
     d_unstable = _as_poly(_get(doc, "d_unstable", path, False, [1.0]),
                           _ctx(path, "d_unstable"))
-    roots = _poly_roots(d_unstable)
-    if roots.size and np.min(np.abs(roots)) < 1.0 - 1e-9:
+    if (d_unstable.size > 1
+            and np.min(np.abs(polynomial_roots(d_unstable))) < 1.0 - STABILITY_MARGIN):
         raise ConfigError(f"{_ctx(path, 'd_unstable')} roots must all have modulus "
-                          f">= 1 - 1e-9 (persistent modes)")
+                          f">= 1 - {STABILITY_MARGIN:g} (persistent modes)")
     j = _as_real(_get(doc, "j", path, True), _ctx(path, "j"))
     g = _get(doc, "g", path, False, "ones")
     if isinstance(g, str):
@@ -182,7 +178,7 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
                         j, g, seed)
 
 
-def _validate_trackers(doc, path="trackers") -> TrackerSpec:
+def _validate_trackers(doc, scenario: ScenarioSpec, path="trackers") -> TrackerSpec:
     if doc is None:
         doc = {}
     _object(doc, path, _TRACKER_KEYS)
@@ -210,6 +206,11 @@ def _validate_trackers(doc, path="trackers") -> TrackerSpec:
     hinf_order = _get(doc, "hinf_order", path, False)
     if hinf_order is not None:
         hinf_order = _as_int(hinf_order, _ctx(path, "hinf_order"), minimum=1)
+        # synthesis fixes one controller pole per persistent mode
+        persistent = scenario.d_unstable.size - 1
+        if hinf_order <= persistent:
+            raise ConfigError(f"{_ctx(path, 'hinf_order')} must exceed the {persistent} "
+                              f"persistent poles of scenario.d_unstable, got {hinf_order}")
     hinf_grid = _as_int(_get(doc, "hinf_grid", path, False, 33),
                         _ctx(path, "hinf_grid"), minimum=2)
     starts = _as_int(_get(doc, "synthesis_starts", path, False, 6),
@@ -263,7 +264,7 @@ def _validate_run(doc, scenario: ScenarioSpec, path="run") -> RunSpec:
 def validate_config(doc: dict) -> ExperimentConfig:
     _object(doc, "", _ROOT_KEYS)
     scenario = _validate_scenario(_get(doc, "scenario", "", True))
-    trackers = _validate_trackers(_get(doc, "trackers", "", False))
+    trackers = _validate_trackers(_get(doc, "trackers", "", False), scenario)
     run = _validate_run(_get(doc, "run", "", True), scenario)
     output = _object(_get(doc, "output", "", False, {}), "output", _OUTPUT_KEYS)
     out_dir = _get(output, "dir", "output", False, ".")
@@ -289,28 +290,17 @@ def parse_config(path: str) -> ExperimentConfig:
     return validate_config(doc)
 
 
-def build_model(spec: ScenarioSpec, j_override: float | None = None) -> StateSpaceSISO:
-    """Signal model from the configured polynomials: companion F, given G."""
-    char = npoly.polymul(spec.d_unstable, spec.d_stable)
-    f, h = observable_canonical(char)
-    m = char.size - 1
-    if isinstance(spec.g, str):
-        g = np.ones(m)
-    else:
-        g = np.asarray(spec.g, dtype=float)
-    j = spec.j if j_override is None else float(j_override)
-    return StateSpaceSISO(f, g, h, j)
-
-
-def build_scenario(spec: ScenarioSpec, lambda_max_override: float | None = None,
-                   j_override: float | None = None) -> QuadraticScenario:
-    """Scenario for one experiment point, honoring sweep overrides.
+def build_scenario(spec: ScenarioSpec) -> QuadraticScenario:
+    """Scenario of a spec: companion-form signal model F from the configured
+    polynomials, the given G, and the random curvature draws.
 
     The spectrum and basis streams depend only on (seed, n, bounds), so a
     j sweep reuses one spectrum while a lambda_max sweep rescales the
     same underlying uniform draws.
     """
-    lambda_max = spec.lambda_max if lambda_max_override is None else float(lambda_max_override)
-    model = build_model(spec, j_override)
-    return make_scenario(spec.n, spec.lambda_min, lambda_max, model, spec.sigma,
+    char = npoly.polymul(spec.d_unstable, spec.d_stable)
+    f, h = observable_canonical(char)
+    g = np.ones(char.size - 1) if isinstance(spec.g, str) else np.asarray(spec.g, dtype=float)
+    model = StateSpaceSISO(f, g, h, spec.j)
+    return make_scenario(spec.n, spec.lambda_min, spec.lambda_max, model, spec.sigma,
                          spec.seed)

@@ -10,6 +10,7 @@ import scipy.linalg
 from .errors import DimensionMismatch, NotConverged, SingularInnovation
 
 __all__ = [
+    "STABILITY_MARGIN",
     "RngStream",
     "solve_discrete_lyapunov",
     "solve_dare",
@@ -18,6 +19,10 @@ __all__ = [
     "random_orthogonal",
     "chebyshev_grid",
 ]
+
+# A pole, or a spectral radius, counts as stable only below 1 - STABILITY_MARGIN;
+# every stability decision in the package compares against this one value.
+STABILITY_MARGIN = 1e-9
 
 _MASK64 = (1 << 64) - 1
 
@@ -85,7 +90,7 @@ def solve_discrete_lyapunov(a, q) -> np.ndarray:
     q = _square(q, "q")
     if a.shape != q.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {q.shape}")
-    if spectral_radius(a) >= 1.0 - 1e-9:
+    if spectral_radius(a) >= 1.0 - STABILITY_MARGIN:
         raise NotConverged("spectral radius of a is not strictly below one")
     p = scipy.linalg.solve_discrete_lyapunov(a, q, method="direct")
     p = 0.5 * (p + p.T)
@@ -180,7 +185,7 @@ def _dare_spectral_candidate(f, g, h, j, sigma2):
         return None
     a_cl = f - np.outer(k, h)
     q_noise = sigma2 * np.outer(g - j * k, g - j * k)
-    if spectral_radius(a_cl) < 1.0 - 1e-9:
+    if spectral_radius(a_cl) < 1.0 - STABILITY_MARGIN:
         try:
             p = solve_discrete_lyapunov(a_cl, q_noise)
         except NotConverged:

@@ -28,7 +28,6 @@ from .scenario import QuadraticScenario, draw_noise
 from .trackers import UncertaintyInterval, make_kalman_tracker
 
 __all__ = [
-    "ErrorTrace",
     "analytic_cost",
     "robust_cost",
     "empirical_cost",
@@ -36,27 +35,6 @@ __all__ = [
     "moving_average",
     "mismatch_curve",
 ]
-
-
-@dataclass
-class ErrorTrace:
-    """Per-step error norms; window records any smoothing already applied."""
-
-    values: np.ndarray
-    window: int = 1
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValueError("trace values must be 1-D")
-        if np.any(self.values < 0.0):
-            raise ValueError("error norms cannot be negative")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-
-    @property
-    def horizon(self) -> int:
-        return self.values.size
 
 
 def analytic_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
@@ -226,33 +204,32 @@ def empirical_cost(scenario: QuadraticScenario, ctrl, horizon: int,
 
 
 def error_trace(scenario: QuadraticScenario, ctrls, horizon: int,
-                rng: RngStream) -> list:
+                rng: RngStream) -> np.ndarray:
     """Run every tracker against one shared minimizer realization.
 
-    Common noise makes the traces directly comparable; each entry holds
-    the raw per-step error norms (window 1).
+    Common noise makes the traces directly comparable.  Returns the (len(ctrls),
+    horizon) array of per-step error norms |e_k|; no noise is drawn without ctrls.
     """
     if horizon < 1:
         raise InvalidBounds("horizon must be at least 1")
-    if not ctrls:
-        return []
-    noise = draw_noise(scenario.n, horizon, scenario.sigma, rng)
     sq = np.empty((len(ctrls), horizon))
+    if not ctrls:
+        return sq
+    noise = draw_noise(scenario.n, horizon, scenario.sigma, rng)
     for row, ctrl in zip(sq, ctrls):
         _squared_errors(_lift(scenario, ctrl), noise, row)
-    return [ErrorTrace(row, window=1) for row in np.sqrt(sq, out=sq)]
+    return np.sqrt(sq, out=sq)
 
 
-def moving_average(trace: ErrorTrace, window: int) -> ErrorTrace:
+def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     """Causal mean over the trailing `window` samples (fewer near the start)."""
     if window < 1:
         raise InvalidBounds("window must be at least 1")
-    vals = trace.values
-    cs = np.concatenate([[0.0], np.cumsum(vals)])
-    k = np.arange(vals.size)
+    cs = np.concatenate([[0.0], np.cumsum(values)])
+    k = np.arange(values.size)
     lo = np.maximum(0, k - window + 1)
     out = (cs[k + 1] - cs[lo]) / (k + 1 - lo)
-    return ErrorTrace(np.maximum(out, 0.0), window=window)
+    return np.maximum(out, 0.0)
 
 
 def mismatch_curve(model: StateSpaceSISO, sigma2: float, lam: float,

@@ -3,8 +3,9 @@
 Transfer functions are ratios of real polynomials in z, stored ascending
 (``num[k]`` multiplies ``z**k``) with a monic denominator.  State-space
 models are single-input single-output quadruples (F, G, H, j).  The unit
-circle is the stability boundary; a margin of 1e-9 separates "stable"
-from "not" everywhere in this module.
+circle is the stability boundary; `control_math.STABILITY_MARGIN` separates
+"stable" from "not" everywhere in this module.  Peak gains are sampled on
+one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 
 `loop_stable` and `loop_norms` answer "is the error loop stable, and what
 are its norms?" for a whole batch of curvatures at once; every cost in
@@ -13,18 +14,18 @@ the package goes through them.  The scalar routines they call
 the per-curvature building blocks and test references.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .control_math import polynomial_roots, solve_discrete_lyapunov
+from .control_math import STABILITY_MARGIN, polynomial_roots, solve_discrete_lyapunov
 from .errors import AlgebraicLoop, DimensionMismatch
 
 __all__ = [
     "TransferFunctionSISO",
     "StateSpaceSISO",
-    "FrequencyGrid",
+    "circle_angles",
     "observable_canonical",
     "ss_to_tf",
     "tf_to_ss",
@@ -37,7 +38,6 @@ __all__ = [
     "loop_norms",
 ]
 
-STABILITY_MARGIN = 1e-9
 CANCEL_TOL = 1e-9
 
 
@@ -118,6 +118,11 @@ class TransferFunctionSISO:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den, cancel: bool = True):
+        num = np.asarray(num, dtype=float)
+        den = np.asarray(den, dtype=float)
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            # _trim would read a NaN or inf coefficient list as the zero polynomial
+            raise ValueError("transfer function coefficients must be finite")
         num = _trim(num)
         den = _trim(den)
         if den.size == 1 and den[0] == 0.0:
@@ -174,7 +179,7 @@ class TransferFunctionSISO:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransferFunctionSISO":
-        return cls(np.asarray(d["num"], dtype=float), np.asarray(d["den"], dtype=float))
+        return cls(d["num"], d["den"])
 
     def __repr__(self):
         return f"TransferFunctionSISO(num={self.num.tolist()}, den={self.den.tolist()})"
@@ -203,21 +208,17 @@ class StateSpaceSISO:
         return self.F.shape[0]
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+def circle_angles(n: int) -> np.ndarray:
     """Uniform unit-circle grid theta_k = -pi + 2 pi k / n, k = 0..n-1."""
+    return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
-    n: int = 4096
 
-    def __post_init__(self):
-        if self.n < 64 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("grid size must be a power of two, at least 64")
-
-    def angles(self) -> np.ndarray:
-        return -np.pi + 2.0 * np.pi * np.arange(self.n) / self.n
-
-    def points(self) -> np.ndarray:
-        return np.exp(1j * self.angles())
+# The circle grid of every peak-gain search (`hinf_norm` and the synthesis
+# objective); shared arrays, so read-only.
+CIRCLE_ANGLES = circle_angles(4096)
+CIRCLE_POINTS = np.exp(1j * CIRCLE_ANGLES)
+CIRCLE_ANGLES.flags.writeable = False
+CIRCLE_POINTS.flags.writeable = False
 
 
 def observable_canonical(char_poly):
@@ -376,7 +377,7 @@ def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
 def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
     """Squared H2 norm via the controllability Gramian.
 
-    Returns the +inf flag when any pole has modulus >= 1 - 1e-9.
+    Returns +inf when any pole has modulus >= 1 - control_math.STABILITY_MARGIN.
     For w = j_w + strictly proper part realized as (F, G, H), the value
     is j_w**2 + H Sigma H^T with Sigma the Gramian from the discrete
     Lyapunov equation.
@@ -400,8 +401,8 @@ def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
     return max(val, 0.0)
 
 
-def h2_norm_sq_freq(w: TransferFunctionSISO, grid: FrequencyGrid) -> float:
-    """Riemann-sum squared H2 norm: mean of |w|^2 over the grid.
+def h2_norm_sq_freq(w: TransferFunctionSISO, n: int) -> float:
+    """Riemann-sum squared H2 norm: mean of |w|^2 over an n-point circle grid.
 
     Returns +inf when a pole sits within 1e-6 of the unit circle, where
     the uniform sum cannot resolve the integrand.
@@ -410,7 +411,7 @@ def h2_norm_sq_freq(w: TransferFunctionSISO, grid: FrequencyGrid) -> float:
         poles = polynomial_roots(w.den)
         if np.max(np.abs(poles)) >= 1.0 - 1e-6:
             return float("inf")
-    vals = w(grid.points())
+    vals = w(np.exp(1j * circle_angles(n)))
     return float(np.mean(np.abs(vals) ** 2))
 
 
@@ -436,9 +437,9 @@ def _golden_max(f, lo, hi):
 def hinf_norm(w: TransferFunctionSISO) -> float:
     """Peak gain sup |w(e^{i theta})| over the unit circle.
 
-    Coarse grid search (4096 points) followed by golden-section
-    refinement around the grid argmax; the refined peak is accurate to a
-    relative 1e-6.  Returns +inf when any pole has modulus >= 1 - 1e-9.
+    Search on the 4096 `CIRCLE_POINTS`, then golden-section refinement around
+    the grid argmax, accurate to a relative 1e-6.  Returns +inf when any
+    pole has modulus >= 1 - control_math.STABILITY_MARGIN.
     """
     if w.is_zero:
         return 0.0
@@ -446,13 +447,11 @@ def hinf_norm(w: TransferFunctionSISO) -> float:
         poles = polynomial_roots(w.den)
         if np.max(np.abs(poles)) >= 1.0 - STABILITY_MARGIN:
             return float("inf")
-    grid = FrequencyGrid(4096)
-    theta = grid.angles()
-    mags = np.abs(w(np.exp(1j * theta)))
+    mags = np.abs(w(CIRCLE_POINTS))
     k = int(np.argmax(mags))
-    step = 2.0 * np.pi / grid.n
+    step = 2.0 * np.pi / CIRCLE_ANGLES.size
     f = lambda t: float(np.abs(w(np.exp(1j * t))))
-    refined = _golden_max(f, theta[k] - step, theta[k] + step)
+    refined = _golden_max(f, CIRCLE_ANGLES[k] - step, CIRCLE_ANGLES[k] + step)
     return max(float(mags[k]), refined)
 
 

@@ -66,6 +66,16 @@ def _unstable_block(seed: int, j: float, lambda_min: float = 1.0,
     }
 
 
+def _sweep_run(param: str, lo: float, hi: float) -> dict:
+    """The run block every sweep preset shares: 10 points, 2 reps of 30000 steps."""
+    return {
+        "horizon": 30000,
+        "burnin": 10000,
+        "reps": 2,
+        "sweep": {"param": param, "lo": lo, "hi": hi, "points": 10},
+    }
+
+
 def preset_document(name: str, seed: int, out_dir: str) -> dict:
     """Full config document for a preset; raises UnknownPreset otherwise."""
     if name == "trace-stable":
@@ -78,45 +88,25 @@ def preset_document(name: str, seed: int, out_dir: str) -> dict:
         doc = {
             "scenario": _stable_block(seed),
             "trackers": {"use": ["gd", "kalman", "hinf"], **_TRACKER_OPTS},
-            "run": {
-                "horizon": 30000,
-                "burnin": 10000,
-                "reps": 2,
-                "sweep": {"param": "j", "lo": 0.2, "hi": 2.0, "points": 10},
-            },
+            "run": _sweep_run("j", 0.2, 2.0),
         }
     elif name == "sweep-lmax-stable":
         doc = {
             "scenario": _stable_block(seed),
             "trackers": {"use": ["gd", "kalman", "hinf"], **_TRACKER_OPTS},
-            "run": {
-                "horizon": 30000,
-                "burnin": 10000,
-                "reps": 2,
-                "sweep": {"param": "lambda_max", "lo": 2.6, "hi": 4.4, "points": 10},
-            },
+            "run": _sweep_run("lambda_max", 2.6, 4.4),
         }
     elif name == "sweep-j-unstable":
         doc = {
             "scenario": _unstable_block(seed, j=1.85, lambda_min=2.0),
             "trackers": {"use": ["kalman", "hinf"], **_TRACKER_OPTS},
-            "run": {
-                "horizon": 30000,
-                "burnin": 10000,
-                "reps": 2,
-                "sweep": {"param": "j", "lo": 1.85, "hi": 3.7, "points": 10},
-            },
+            "run": _sweep_run("j", 1.85, 3.7),
         }
     elif name == "sweep-lmax-unstable":
         doc = {
             "scenario": _unstable_block(seed, j=1.0),
             "trackers": {"use": ["kalman", "hinf"], **_TRACKER_OPTS},
-            "run": {
-                "horizon": 30000,
-                "burnin": 10000,
-                "reps": 2,
-                "sweep": {"param": "lambda_max", "lo": 1.5, "hi": 3.3, "points": 10},
-            },
+            "run": _sweep_run("lambda_max", 1.5, 3.3),
         }
     else:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {list(PRESET_NAMES)}")

@@ -6,6 +6,7 @@ anything touches disk, so a rerun with the same document and seed
 produces byte-identical files.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,10 +17,10 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, build_scenario, parse_config, validate_config
 from .control_math import RngStream, chebyshev_grid
-from .errors import NoStabilizingController, UnknownPreset
+from .errors import NoStabilizingController
 from .evaluation import analytic_cost, empirical_cost, error_trace, moving_average
 from .lti import loop_norms, loop_stable, ss_to_tf
-from .presets import PRESET_NAMES, preset_document
+from .presets import preset_document
 from .scenario import STREAM_SIM_BASE, QuadraticScenario
 from .synthesis import SynthesisOptions, precompensated_synthesize
 from .trackers import (
@@ -48,13 +49,6 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _version_string(doc: dict) -> str:
-    payload = {k: v for k, v in doc.items() if k != "output"}
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha1(canon.encode("utf-8")).hexdigest()[:12]
-    return f"quadtrack-{__version__}+g{digest}"
-
-
 def _write_text(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -62,11 +56,14 @@ def _write_text(path: str, text: str) -> str:
 
 
 def _write_meta(csv_path: str, doc: dict, preset: str | None, seed: int) -> str:
+    config = {k: v for k, v in doc.items() if k != "output"}
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha1(canon.encode("utf-8")).hexdigest()[:12]
     meta = {
         "preset": preset,
         "seed": seed,
-        "version": _version_string(doc),
-        "config": {k: v for k, v in doc.items() if k != "output"},
+        "version": f"quadtrack-{__version__}+g{digest}",
+        "config": config,
     }
     path = os.path.splitext(csv_path)[0] + ".meta.json"
     return _write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -118,11 +115,8 @@ def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
 
 def _sweep_point(cfg: ExperimentConfig, value: float) -> tuple:
     run = cfg.run
-    scenario = build_scenario(
-        cfg.scenario,
-        lambda_max_override=value if run.sweep_param == "lambda_max" else None,
-        j_override=value if run.sweep_param == "j" else None,
-    )
+    # each sweep parameter names the ScenarioSpec field it replaces
+    scenario = build_scenario(dataclasses.replace(cfg.scenario, **{run.sweep_param: value}))
     h = ss_to_tf(scenario.model)
     ctrls = _build_trackers(cfg, scenario)
     analytic = {}
@@ -182,7 +176,7 @@ def run_trace(cfg: ExperimentConfig) -> dict:
                          cfg.run.horizon, RngStream(scenario.seed, STREAM_SIM_BASE))
     columns = {name: None for name in _COLUMN_ORDER}
     for name, trace in zip(names, traces):
-        columns[name] = moving_average(trace, cfg.run.window).values
+        columns[name] = moving_average(trace, cfg.run.window)
     return columns
 
 
@@ -213,8 +207,6 @@ def execute_config(cfg: ExperimentConfig, preset: str | None = None) -> list:
 
 def run_preset(name: str, out_dir: str, seed: int) -> list:
     """Execute one named benchmark preset; returns the written file paths."""
-    if name not in PRESET_NAMES:
-        raise UnknownPreset(f"unknown preset {name!r}; choose from {list(PRESET_NAMES)}")
     doc = preset_document(name, int(seed), out_dir)
     return execute_config(validate_config(doc), preset=name)
 
@@ -236,8 +228,7 @@ def synthesize_cmd(config_path: str, out_path: str) -> str:
     h = ss_to_tf(scenario.model)
     ctrl = precompensated_synthesize(h, interval, _synthesis_options(cfg, scenario))
     _write_text(out_path, json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
-    grid = chebyshev_grid(interval.lambda_min, interval.lambda_max, cfg.trackers.hinf_grid)
-    stable = loop_stable(h, ctrl.tf, grid)
+    stable = loop_stable(h, ctrl.tf, ctrl.lambda_grid)
     print(f"Jhat = {ctrl.gamma:.17g}")
     print(f"stable at {int(stable.sum())}/{stable.size} grid points")
     return out_path

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control_math import RngStream, random_orthogonal, spectral_radius
+from .control_math import STABILITY_MARGIN, RngStream, random_orthogonal, spectral_radius
 from .errors import DimensionMismatch, InvalidBounds, InvalidSpectrum
 from .lti import StateSpaceSISO
 
@@ -129,7 +129,7 @@ class QuadraticScenario:
 
     @property
     def model_is_stable(self) -> bool:
-        return spectral_radius(self.model.F) < 1.0 - 1e-9
+        return spectral_radius(self.model.F) < 1.0 - STABILITY_MARGIN
 
 
 def make_scenario(n: int, lambda_min: float, lambda_max: float,

@@ -21,10 +21,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize
 
-from .control_math import RngStream, chebyshev_grid
+from .control_math import STABILITY_MARGIN, RngStream, chebyshev_grid
 from .errors import InvalidBounds, NoStabilizingController, QuadtrackError
 from .evaluation import robust_cost
-from .lti import FrequencyGrid, StateSpaceSISO, TransferFunctionSISO, roots_stable, tf_to_ss
+from .lti import CIRCLE_POINTS, StateSpaceSISO, TransferFunctionSISO, roots_stable, tf_to_ss
 from .scenario import STREAM_SYNTH_BASE
 from .trackers import KIND_HINF, TrackerController, UncertaintyInterval, factor_poles, kalman_gain, mu_star_search
 
@@ -33,12 +33,13 @@ __all__ = ["SynthesisOptions", "hinf_synthesize", "precompensated_synthesize"]
 
 @dataclass
 class SynthesisOptions:
-    """Search budget and grid resolution; defaults match the benchmark."""
+    """Search budget and grid resolution; the defaults (33 grid points, 6 starts
+    of 600 evaluations each) are those of the config's `trackers` block."""
 
     order: int | None = None
     grid_points: int = 33
-    starts: int = 16
-    max_evals: int = 2000
+    starts: int = 6
+    max_evals: int = 600
     seed: int = 0
 
     def __post_init__(self):
@@ -49,14 +50,14 @@ class SynthesisOptions:
 class _Objective:
     """Worst-case grid gain of the candidate coefficient vector."""
 
-    def __init__(self, n_h, d_u, d_s, p, q_bar, lam_grid, freq: FrequencyGrid):
+    def __init__(self, n_h, d_u, d_s, p, q_bar, lam_grid):
         self.n_h = n_h
         self.d_u = d_u
         self.d_s = d_s
         self.p = p
         self.q_bar = q_bar
         self.lam_grid = lam_grid
-        self.z = freq.points()
+        self.z = CIRCLE_POINTS
         self.best = float("inf")
         self.best_v = None
 
@@ -115,15 +116,10 @@ def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
     # -H adj(zI - F) K / mu descending: already the controller numerator
     num_desc = np.poly(model.F + np.outer(gain / mu, model.H)) - a_desc
     n_k = num_desc[::-1][:m]
-    den_bar = npoly.polymul(p, d_s)
-    pad = q_bar - m
-    num_bar = np.zeros(q_bar)
-    num_bar[pad: pad + n_k.size] = n_k
-    den_full = np.zeros(q_bar + 1)
-    shifted = npoly.polymul(np.eye(1, pad + 1, pad).ravel(), den_bar)
-    den_full[: shifted.size] = shifted
-    v = np.concatenate([num_bar, den_full[:q_bar]])
-    return v
+    # cbar = z^pad n_K / (z^pad p d_s): both padded to order q_bar, and the
+    # monic leading coefficient of the denominator left implicit
+    pad = np.zeros(q_bar - m)
+    return np.concatenate([pad, n_k, pad, npoly.polymul(p, d_s)[:m]])
 
 
 def _random_start(q_bar: int, rng: RngStream) -> np.ndarray:
@@ -142,11 +138,49 @@ def _random_start(q_bar: int, rng: RngStream) -> np.ndarray:
     return np.concatenate([num, den[:q_bar]])
 
 
-def _synthesize_core(h: TransferFunctionSISO, interval: UncertaintyInterval,
-                     n_h, d_u, d_s, p, q_bar: int,
-                     opts: SynthesisOptions) -> TrackerController:
+def hinf_synthesize(h: TransferFunctionSISO, interval: UncertaintyInterval,
+                    opts: SynthesisOptions) -> TrackerController:
+    """Minimize the worst-case peak error gain for a stable signal model.
+
+    The reported `gamma` is the certified value max over the curvature
+    grid of the peak gain of -h / (1 - lam c), computed with the
+    full-precision norm routine on the selected controller.  This is
+    `precompensated_synthesize` restricted to stable models.
+
+    Raises NoStabilizingController when no search start yields a loop
+    stable across the whole grid.
+    """
+    if not h.is_zero and h.degree > 0 and np.max(np.abs(h.poles())) >= 1.0 - STABILITY_MARGIN:
+        raise InvalidBounds("signal model must be stable here; use precompensated_synthesize")
+    return precompensated_synthesize(h, interval, opts)
+
+
+def precompensated_synthesize(h: TransferFunctionSISO, interval: UncertaintyInterval,
+                              opts: SynthesisOptions) -> TrackerController:
+    """Minimize the worst-case peak error gain for any signal model.
+
+    Factors h = n / (d_u d_s), fixes the controller structure
+    c = (p / d_u) cbar with p(z) = z^deg(d_u), and synthesizes cbar so the
+    loop polynomial d_u d_cbar - lam p n_cbar is stable over the grid.
+    For a stable h, d_u = p = 1 and cbar is the whole controller.  The
+    default order is max(deg h, 1) + deg d_u.
+    """
     lam_grid = chebyshev_grid(interval.lambda_min, interval.lambda_max, opts.grid_points)
-    obj = _Objective(n_h, d_u, d_s, p, q_bar, lam_grid, FrequencyGrid(4096))
+    if h.is_zero:
+        tf = TransferFunctionSISO([0.0], [1.0])
+        return TrackerController(KIND_HINF, tf, np.zeros((1, 1)), np.zeros(1), np.zeros(1),
+                                 gamma=0.0, lambda_grid=lam_grid)
+    n_h, d_u, d_s = factor_poles(h)
+    n_u = d_u.size - 1
+    p = np.zeros(n_u + 1)
+    p[-1] = 1.0
+    order = opts.order if opts.order is not None else max(h.degree, 1) + n_u
+    q_bar = order - n_u
+    if q_bar < 1:
+        raise InvalidBounds(
+            f"controller order {order} leaves no freedom after the {n_u} precompensator poles"
+        )
+    obj = _Objective(n_h, d_u, d_s, p, q_bar, lam_grid)
 
     starts = []
     v0 = _kalman_start(h, lam_grid, d_s, p, q_bar)
@@ -177,16 +211,13 @@ def _synthesize_core(h: TransferFunctionSISO, interval: UncertaintyInterval,
         if obj.best_v is not None:
             finalists.append(obj.best_v)
 
-    def certify(v):
-        n_cbar, d_cbar = obj.split(v)
-        c_tf = TransferFunctionSISO(npoly.polymul(p, n_cbar), npoly.polymul(d_u, d_cbar))
-        if not c_tf.is_strictly_proper:
-            return float("inf"), c_tf
-        return robust_cost(h, c_tf, interval, opts.grid_points), c_tf
-
+    # certify each finalist with the full-precision peak gain; c is strictly proper:
+    # deg(p n_cbar) < deg(d_u d_cbar), and cancellation lowers both degrees alike
     best = None
     for v in finalists:
-        gamma, c_tf = certify(v)
+        n_cbar, d_cbar = obj.split(v)
+        c_tf = TransferFunctionSISO(npoly.polymul(p, n_cbar), npoly.polymul(d_u, d_cbar))
+        gamma = robust_cost(h, c_tf, interval, opts.grid_points)
         if not np.isfinite(gamma):
             continue
         key = (gamma, float(np.linalg.norm(v)))
@@ -200,53 +231,3 @@ def _synthesize_core(h: TransferFunctionSISO, interval: UncertaintyInterval,
     ss = tf_to_ss(c_tf)
     return TrackerController(KIND_HINF, c_tf, ss.F, ss.G, ss.H,
                              gamma=gamma, lambda_grid=lam_grid)
-
-
-def _zero_controller(lam_grid) -> TrackerController:
-    tf = TransferFunctionSISO([0.0], [1.0])
-    return TrackerController(KIND_HINF, tf, np.zeros((1, 1)), np.zeros(1), np.zeros(1),
-                             gamma=0.0, lambda_grid=np.asarray(lam_grid, dtype=float))
-
-
-def hinf_synthesize(h: TransferFunctionSISO, interval: UncertaintyInterval,
-                    opts: SynthesisOptions | None = None) -> TrackerController:
-    """Minimize the worst-case peak error gain for a stable signal model.
-
-    The reported `gamma` is the certified value max over the curvature
-    grid of the peak gain of -h / (1 - lam c), computed with the
-    full-precision norm routine on the selected controller.  This is
-    `precompensated_synthesize` restricted to stable models.
-
-    Raises NoStabilizingController when no search start yields a loop
-    stable across the whole grid.
-    """
-    if not h.is_zero and h.degree > 0 and np.max(np.abs(h.poles())) >= 1.0 - 1e-9:
-        raise InvalidBounds("signal model must be stable here; use precompensated_synthesize")
-    return precompensated_synthesize(h, interval, opts)
-
-
-def precompensated_synthesize(h: TransferFunctionSISO, interval: UncertaintyInterval,
-                              opts: SynthesisOptions | None = None) -> TrackerController:
-    """Minimize the worst-case peak error gain for any signal model.
-
-    Factors h = n / (d_u d_s), fixes the controller structure
-    c = (p / d_u) cbar with p(z) = z^deg(d_u), and synthesizes cbar so the
-    loop polynomial d_u d_cbar - lam p n_cbar is stable over the grid.
-    For a stable h, d_u = p = 1 and cbar is the whole controller.  The
-    default order is max(deg h, 1) + deg d_u.
-    """
-    opts = opts or SynthesisOptions()
-    if h.is_zero:
-        return _zero_controller(
-            chebyshev_grid(interval.lambda_min, interval.lambda_max, opts.grid_points))
-    n_h, d_u, d_s = factor_poles(h)
-    n_u = d_u.size - 1
-    p = np.zeros(n_u + 1)
-    p[-1] = 1.0
-    order = opts.order if opts.order is not None else max(h.degree, 1) + n_u
-    q_bar = order - n_u
-    if q_bar < 1:
-        raise InvalidBounds(
-            f"controller order {order} leaves no freedom after the {n_u} precompensator poles"
-        )
-    return _synthesize_core(h, interval, n_h, d_u, d_s, p, q_bar, opts)

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import minimize_scalar
 
-from .control_math import solve_dare
+from .control_math import STABILITY_MARGIN, solve_dare
 from .errors import (
     DimensionMismatch,
     InvalidBounds,
@@ -155,23 +155,26 @@ def make_gd_tracker(alpha: float) -> TrackerController:
     return TrackerController(KIND_GD, tf, f, g, h, alpha=alpha)
 
 
-def mu_star_from_eigs(eigs) -> float:
-    """Cost-optimal nominal curvature sum(l^2) / sum(l) for known eigenvalues."""
+def _spectrum(eigs) -> np.ndarray:
+    """eigs as a float array, once it is a nonempty 1-D list of positive values."""
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 1 or eigs.size == 0:
         raise InvalidSpectrum("eigs must be a nonempty 1-D array")
     if np.any(eigs <= 0.0):
         raise InvalidSpectrum("eigenvalues must be positive")
+    return eigs
+
+
+def mu_star_from_eigs(eigs) -> float:
+    """Cost-optimal nominal curvature sum(l^2) / sum(l) for known eigenvalues."""
+    eigs = _spectrum(eigs)
     return float(np.sum(eigs ** 2) / np.sum(eigs))
 
 
 def mu_star_uniform(lambda_min: float, lambda_max: float) -> float:
     """Closed form of the optimal nominal curvature for a uniform spectrum."""
-    if not (0.0 < lambda_min <= lambda_max):
-        raise InvalidBounds(
-            f"need 0 < lambda_min <= lambda_max, got [{lambda_min}, {lambda_max}]"
-        )
-    a, b = lambda_min, lambda_max
+    interval = UncertaintyInterval(lambda_min, lambda_max)
+    a, b = interval.lambda_min, interval.lambda_max
     return (2.0 / 3.0) * (b * b + a * b + a * a) / (a + b)
 
 
@@ -203,11 +206,7 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     candidate curvatures and refines the best bracket, so it returns a
     stabilizing tuning whenever one exists and raises otherwise.
     """
-    eigs = np.asarray(eigs, dtype=float)
-    if eigs.ndim != 1 or eigs.size == 0:
-        raise InvalidSpectrum("eigs must be a nonempty 1-D array")
-    if np.any(eigs <= 0.0):
-        raise InvalidSpectrum("eigenvalues must be positive")
+    eigs = _spectrum(eigs)
     sigma2 = float(sigma2)
     if sigma2 <= 0.0:
         raise InvalidBounds("sigma2 must be positive")
@@ -243,7 +242,8 @@ def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.nd
     """Split h = n / (d_u d_s) by pole modulus at the stability margin.
 
     Returns (n, d_u, d_s) with d_u, d_s monic; d_u collects every pole of
-    modulus >= 1 - 1e-9 and reduces to the constant 1 when h is stable.
+    modulus >= 1 - STABILITY_MARGIN and reduces to the constant 1 when h
+    is stable.
     A stable h keeps its own denominator as d_s: rebuilding it from its
     roots would perturb the coefficients at roundoff level, and synthesis
     results follow those coefficients.
@@ -251,10 +251,10 @@ def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.nd
     if h.degree == 0:
         return h.num.copy(), np.ones(1), np.ones(1)
     poles = h.poles()
-    unstable = [r for r in poles if abs(r) >= 1.0 - 1e-9]
+    unstable = [r for r in poles if abs(r) >= 1.0 - STABILITY_MARGIN]
     if not unstable:
         return h.num.copy(), np.ones(1), h.den.copy()
-    stable = [r for r in poles if abs(r) < 1.0 - 1e-9]
+    stable = [r for r in poles if abs(r) < 1.0 - STABILITY_MARGIN]
 
     def rebuild(roots):
         if not roots:
@@ -286,11 +286,20 @@ def controller_from_dict(doc: dict) -> TrackerController:
 
     The realization is reconstructed in controllable-canonical form from
     the transfer function; statistics are preserved exactly, state
-    coordinates are not.
+    coordinates are not.  Raises ValueError on a document that is not an
+    object holding `num` and `den` coefficient lists, on non-finite
+    coefficients, and on a `lambda_grid` that is neither a list nor null.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("controller document must be a JSON object")
+    for key in ("num", "den"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"controller document needs a coefficient list {key!r}")
+    grid = doc.get("lambda_grid")
+    if grid is not None and not isinstance(grid, list):
+        raise ValueError("controller lambda_grid must be a list or null")
     tf = TransferFunctionSISO.from_dict(doc)
     ss = tf_to_ss(tf)
-    grid = doc.get("lambda_grid")
     return TrackerController(
         kind=doc.get("kind", KIND_HINF),
         tf=tf,

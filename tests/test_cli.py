@@ -290,6 +290,55 @@ def test_evaluate_rejects_malformed_controller(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _gd_document():
+    from quadtrack.trackers import controller_to_dict, make_gd_tracker
+    return controller_to_dict(make_gd_tracker(0.3))
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({**_gd_document(), "num": None}),
+    json.dumps({**_gd_document(), "num": [float("nan")]}),
+    json.dumps([_gd_document()]),
+    json.dumps({k: v for k, v in _gd_document().items() if k != "num"}),
+    json.dumps({**_gd_document(), "lambda_grid": 2.0}),
+], ids=["null-num", "nan-num", "array", "missing-num", "number-grid"])
+def test_evaluate_rejects_a_malformed_controller_document(tmp_path, capsys, text):
+    # each of these once loaded as the zero controller, crashed with a
+    # traceback, or named neither the document nor what was wrong with it
+    ctrl_path = tmp_path / "bad.json"
+    ctrl_path.write_text(text, encoding="utf-8")
+    doc = {"scenario": stable_scenario(), "run": {"horizon": 100},
+           "output": {"dir": str(tmp_path)}}
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["evaluate", "--controller", str(ctrl_path), "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "coefficients" in err or "controller" in err
+    assert not (tmp_path / "evaluation.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "synthesize"])
+def test_hinf_order_without_freedom_names_the_key(tmp_path, capsys, command):
+    # two persistent poles take two controller poles, so order 2 leaves none
+    doc = {
+        "scenario": {"n": 1, "lambda_min": 2.0, "lambda_max": 2.5, "sigma": 1.0,
+                     "d_stable": [-0.5, 1.0],
+                     "d_unstable": [1.0, -2.0 * np.cos(np.pi / 12.0), 1.0],
+                     "j": 1.0, "seed": 1},
+        "trackers": {"use": ["hinf"], "hinf_order": 2, "hinf_grid": 3,
+                     "synthesis_starts": 1, "synthesis_max_evals": 20},
+        "run": {"horizon": 100},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    args = {"run": ["run", "--config", cfg],
+            "synthesize": ["synthesize", "--config", cfg,
+                           "--out", str(tmp_path / "controller.json")]}[command]
+    assert main(args) == 1
+    assert "trackers.hinf_order" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
 def test_swept_lambda_max_below_lambda_min_is_rejected(tmp_path, capsys):
     doc = {
         "scenario": {"n": 1, "lambda_min": 2.0, "lambda_max": 3.0, "j": 0.5,

@@ -13,7 +13,6 @@ from quadtrack.control_math import RngStream
 from quadtrack.errors import InvalidBounds
 from quadtrack.evaluation import (
     _BLOCK_WIDTH,
-    ErrorTrace,
     analytic_cost,
     empirical_cost,
     error_trace,
@@ -22,9 +21,9 @@ from quadtrack.evaluation import (
     robust_cost,
 )
 from quadtrack.lti import (
-    FrequencyGrid,
     StateSpaceSISO,
     TransferFunctionSISO,
+    circle_angles,
     closed_loop_error_tf,
     hinf_norm,
     loop_stable,
@@ -58,7 +57,7 @@ def test_analytic_cost_matches_frequency_integral():
     sigma2 = 1.3
     cost = analytic_cost(h, c, eigs, sigma2)
 
-    z = FrequencyGrid(2 ** 14).points()
+    z = np.exp(1j * circle_angles(2 ** 14))
     total = 0.0
     for lam in eigs:
         w = h(z) / (1.0 - lam * c(z))
@@ -226,7 +225,7 @@ def test_error_kernel_matches_a_tracker_step_loop_to_roundoff():
         traces = error_trace(sc, ctrls, horizon, sim_rng())
         for ctrl, trace in zip(ctrls, traces):
             ref = np.array(reference_squared_errors(sc, ctrl, horizon, sim_rng()))
-            assert np.max(np.abs(trace.values ** 2 - ref)) <= 1e-10 * np.max(ref)
+            assert np.max(np.abs(trace ** 2 - ref)) <= 1e-10 * np.max(ref)
 
             # a single rep draws its path from stream split 0
             ref = reference_squared_errors(sc, ctrl, horizon, sim_rng().split(0))
@@ -249,7 +248,7 @@ def test_error_kernel_tracks_a_persistent_model_to_roundoff():
     path = simulate_minimizer(model, sc.n, horizon, sc.sigma, sim_rng()).values
     peak = float(np.max(np.sum(path ** 2, axis=1)))
     ref = np.array(reference_squared_errors(sc, ctrl, horizon, sim_rng()))
-    got = error_trace(sc, [ctrl], horizon, sim_rng())[0].values ** 2
+    got = error_trace(sc, [ctrl], horizon, sim_rng())[0] ** 2
     assert np.max(np.abs(got - ref)) <= 1e-13 * peak
 
 
@@ -264,7 +263,7 @@ def test_monte_carlo_never_reads_the_transfer_function():
         empirical_cost(sc, wrong, 700, 70, 2, sim_rng())
     right, = error_trace(sc, [ctrl], 700, sim_rng())
     swapped, = error_trace(sc, [wrong], 700, sim_rng())
-    assert np.array_equal(right.values, swapped.values)
+    assert np.array_equal(right, swapped)
 
 
 def test_empirical_cost_reps_are_independent_single_rep_runs():
@@ -282,7 +281,7 @@ def test_empirical_cost_reps_are_independent_single_rep_runs():
 def test_error_trace_without_trackers_draws_nothing():
     sc = make_scenario(2, 1.5, 2.5, stable_model(), 1.0, seed=5)
     rng = sim_rng()
-    assert error_trace(sc, [], 100, rng) == []
+    assert error_trace(sc, [], 100, rng).shape == (0, 100)
     assert np.array_equal(rng.standard_normal(4), sim_rng().standard_normal(4))
 
 
@@ -319,7 +318,7 @@ def test_error_kernel_matches_the_step_loop_on_random_stable_loops(
     size = block_length(n)
     horizon = blocks * size + offset % size + 1
     ref = np.array(reference_squared_errors(sc, ctrl, horizon, sim_rng()))
-    got = error_trace(sc, [ctrl], horizon, sim_rng())[0].values ** 2
+    got = error_trace(sc, [ctrl], horizon, sim_rng())[0] ** 2
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(ref)
 
 
@@ -331,37 +330,25 @@ def test_error_trace_runs_all_trackers_on_shared_noise():
     sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=11)
     ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.3)]
     traces = error_trace(sc, ctrls, 500, RngStream(11, STREAM_SIM_BASE))
-    assert len(traces) == 2
-    for tr in traces:
-        assert tr.horizon == 500
-        assert tr.window == 1
-        assert np.all(tr.values >= 0.0)
+    assert traces.shape == (2, 500)
+    assert np.all(traces >= 0.0)
     again = error_trace(sc, ctrls, 500, RngStream(11, STREAM_SIM_BASE))
-    assert np.array_equal(traces[0].values, again[0].values)
+    assert np.array_equal(traces, again)
 
 
 def test_moving_average_trailing_window():
-    tr = ErrorTrace(np.array([0.0, 1.0, 2.0, 3.0]))
-    out = moving_average(tr, 2)
-    assert np.allclose(out.values, [0.0, 0.5, 1.5, 2.5])
-    assert out.window == 2
-    same = moving_average(tr, 1)
-    assert np.array_equal(same.values, tr.values)
+    tr = np.array([0.0, 1.0, 2.0, 3.0])
+    assert np.allclose(moving_average(tr, 2), [0.0, 0.5, 1.5, 2.5])
+    assert np.array_equal(moving_average(tr, 1), tr)
 
 
 def test_moving_average_window_longer_than_trace():
-    tr = ErrorTrace(np.array([2.0, 4.0]))
-    out = moving_average(tr, 10)
-    assert np.allclose(out.values, [2.0, 3.0])
+    assert np.allclose(moving_average(np.array([2.0, 4.0]), 10), [2.0, 3.0])
 
 
-def test_error_trace_validation():
-    with pytest.raises(ValueError):
-        ErrorTrace(np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        ErrorTrace(np.ones((2, 2)))
+def test_moving_average_rejects_a_zero_window():
     with pytest.raises(InvalidBounds):
-        moving_average(ErrorTrace(np.ones(3)), 0)
+        moving_average(np.ones(3), 0)
 
 
 # ---------------------------------------------------------------- mismatch

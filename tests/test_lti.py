@@ -10,10 +10,12 @@ from quadtrack.control_math import polynomial_roots
 from quadtrack.errors import AlgebraicLoop, DimensionMismatch
 from quadtrack.lti import (
     CANCEL_TOL,
+    CIRCLE_ANGLES,
+    CIRCLE_POINTS,
     STABILITY_MARGIN,
-    FrequencyGrid,
     StateSpaceSISO,
     TransferFunctionSISO,
+    circle_angles,
     closed_loop_error_tf,
     h2_norm_sq_exact,
     h2_norm_sq_freq,
@@ -105,7 +107,7 @@ def test_observable_canonical_rejects_non_monic():
 
 def test_ss_tf_roundtrip_frequency_response():
     rng = np.random.default_rng(2)
-    z = FrequencyGrid(64).points()
+    z = np.exp(1j * circle_angles(64))
     for _ in range(15):
         tf = random_stable_tf(rng)
         back = ss_to_tf(tf_to_ss(tf))
@@ -260,12 +262,11 @@ def test_loop_norms_match_frequency_integral(case):
     h2_sq, hinf = loop_norms(h, c, lams, peak=True)
     assert np.array_equal(h2_sq, loop_norms(h, c, lams)[0])
     assert np.all(np.isinf(h2_sq[~flags])) and np.all(np.isinf(hinf[~flags]))
-    grid = FrequencyGrid(2 ** 14)
     for lam, value in zip(lams[flags], h2_sq[flags]):
         w = closed_loop_error_tf(h, c, float(lam))
         if not np.isfinite(value) or (w.degree > 0 and np.max(np.abs(w.poles())) > 0.998):
             continue  # the uniform sum cannot resolve poles this close to the circle
-        assert value == pytest.approx(h2_norm_sq_freq(w, grid), rel=1e-6, abs=1e-12)
+        assert value == pytest.approx(h2_norm_sq_freq(w, 2 ** 14), rel=1e-6, abs=1e-12)
 
 
 # ------------------------------------------------------------------- norms
@@ -293,17 +294,16 @@ def test_h2_unstable_is_infinite():
     assert h2_norm_sq_exact(TransferFunctionSISO([1.0], [-1.0, 1.0])) == float("inf")
     resonant = TransferFunctionSISO([1.0], [1.0, -2.0 * np.cos(np.pi / 12.0), 1.0])
     assert h2_norm_sq_exact(resonant) == float("inf")
-    assert h2_norm_sq_freq(resonant, FrequencyGrid(4096)) == float("inf")
+    assert h2_norm_sq_freq(resonant, 4096) == float("inf")
     assert hinf_norm(resonant) == float("inf")
 
 
 def test_h2_exact_matches_frequency_grid():
     rng = np.random.default_rng(23)
-    grid = FrequencyGrid(2 ** 14)
     for _ in range(10):
         w = random_stable_tf(rng)
         exact = h2_norm_sq_exact(w)
-        approx = h2_norm_sq_freq(w, grid)
+        approx = h2_norm_sq_freq(w, 2 ** 14)
         assert abs(exact - approx) <= 1e-6 * exact
 
 
@@ -342,11 +342,14 @@ def test_hinf_dominates_rms():
 # -------------------------------------------------------------------- grid
 
 
-def test_frequency_grid_validation():
-    with pytest.raises(ValueError):
-        FrequencyGrid(63)
-    with pytest.raises(ValueError):
-        FrequencyGrid(100)
-    g = FrequencyGrid(64)
-    assert g.angles()[0] == pytest.approx(-np.pi)
-    assert np.allclose(np.abs(g.points()), 1.0)
+def test_circle_grid_is_uniform_and_read_only():
+    theta = circle_angles(64)
+    assert theta[0] == -np.pi
+    assert np.allclose(np.diff(theta), 2.0 * np.pi / 64, rtol=0.0, atol=1e-15)
+    assert theta[-1] < np.pi
+    # the shared grid of the peak-gain searches is that grid at 4096 points
+    assert np.array_equal(CIRCLE_ANGLES, circle_angles(4096))
+    assert np.array_equal(CIRCLE_POINTS, np.exp(1j * circle_angles(4096)))
+    for shared in (CIRCLE_ANGLES, CIRCLE_POINTS):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0

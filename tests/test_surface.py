@@ -1,9 +1,13 @@
-"""The package surface: every exported name exists and every traced function resolves."""
+"""The package surface: every exported name exists, every traced function resolves,
+and the config layer imports without the heavy layers."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -29,3 +33,17 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"quadtrack.{layer}"), fn,
                                        None))]
     assert missing == []
+
+
+def test_config_import_stays_light():
+    # the benchmark's set-up probe times `import quadtrack.config`; the
+    # optimizers and the tracker and synthesis layers belong to the
+    # commands that need them
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    heavy = ("scipy.optimize", "quadtrack.trackers", "quadtrack.synthesis")
+    code = ("import sys, quadtrack.config; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == ""
