@@ -4,6 +4,8 @@ All routines work on plain float64 numpy arrays.  Polynomials are 1-D
 coefficient arrays in ascending powers, `p[k]` multiplying ``z**k``.
 """
 
+import warnings
+
 import numpy as np
 import scipy.linalg
 
@@ -13,6 +15,7 @@ __all__ = [
     "STABILITY_MARGIN",
     "RngStream",
     "solve_discrete_lyapunov",
+    "solve_discrete_lyapunov_stack",
     "solve_dare",
     "spectral_radius",
     "polynomial_roots",
@@ -99,6 +102,59 @@ def solve_discrete_lyapunov(a, q) -> np.ndarray:
     if not np.isfinite(res) or res > 1e-10 * scale:
         raise NotConverged(f"lyapunov residual {res:.3e} above tolerance")
     return p
+
+
+def solve_discrete_lyapunov_stack(a, q) -> tuple[np.ndarray, np.ndarray]:
+    """`solve_discrete_lyapunov` for every slice of a stack a, one shared q.
+
+    Each slice takes the steps of the single-matrix routine in stacked
+    form: the spectral radius, the Kronecker system I - a (x) a, one
+    stacked `scipy.linalg.solve` (its slices give the bits of a per-matrix
+    call; a 1 x 1 system is a division, as scipy does it), symmetrization
+    and the residual check.  Returns (P, ok): P[i] holds the bits of
+    `solve_discrete_lyapunov(a[i], q)` wherever ok[i].  ok[i] is false
+    where that routine raises or might (spectral radius past the margin,
+    residual above half its tolerance, a solve that fails or warns); the
+    caller then runs the single-matrix routine on that slice.
+
+    Parameters
+    ----------
+    a : (N, m, m) array.
+    q : (m, m) symmetric array.
+    """
+    a = np.asarray(a, dtype=float)
+    n, m = a.shape[0], a.shape[1]
+    p = np.zeros((n, m, m))
+    failed = (p, np.zeros(n, dtype=bool))
+    try:
+        ok = np.max(np.abs(np.linalg.eigvals(a)), axis=-1) < 1.0 - STABILITY_MARGIN
+    except np.linalg.LinAlgError:
+        return failed
+    idx = np.flatnonzero(ok)
+    if idx.size == 0:
+        return p, ok
+    a = a[idx]
+    kron = a[:, :, None, :, None] * a[:, None, :, None, :]  # kron(a_i, a_i) per slice
+    lhs = np.eye(m * m) - kron.reshape(-1, m * m, m * m)
+    rhs = np.tile(q.reshape(m * m, 1), (idx.size, 1, 1))
+    if m == 1:
+        if np.any(lhs == 0.0):
+            return failed
+        x = rhs / lhs
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            try:
+                x = scipy.linalg.solve(lhs, rhs)
+            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+                return failed
+    x = x.reshape(-1, m, m)
+    x = 0.5 * (x + x.transpose(0, 2, 1))
+    res = np.linalg.norm(a @ x @ a.transpose(0, 2, 1) + q - x, axis=(1, 2))
+    scale = np.maximum(np.maximum(1.0, np.linalg.norm(x, axis=(1, 2))), np.linalg.norm(q, "fro"))
+    p[idx] = x
+    ok[idx] = np.isfinite(res) & (res <= 0.5e-10 * scale)
+    return p, ok
 
 
 def _dare_rhs(p, f, g, h, j, sigma2):

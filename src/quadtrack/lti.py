@@ -9,9 +9,14 @@ one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 
 `loop_stable` and `loop_norms` answer "is the error loop stable, and what
 are its norms?" for a whole batch of curvatures at once; every cost in
-the package goes through them.  The scalar routines they call
+the package goes through them.  For the filter tracker, whose controller
+shares the signal model's denominator, the H2 part comes from one stacked
+kernel, `loop_h2_stack`, over a whole (controllers x curvatures) grid: it
+replays the scalar steps with stacked eigenvalue and linear solves, so
+each cell carries the very bits of the scalar routines, and hands any
+cell where their special cases apply back to them.  The scalar routines
 (`closed_loop_error_tf`, `h2_norm_sq_exact`, `hinf_norm`) stay public as
-the per-curvature building blocks and test references.
+the per-curvature oracle of that kernel and of the tests.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .control_math import STABILITY_MARGIN, polynomial_roots, solve_discrete_lyapunov
+from .control_math import (
+    STABILITY_MARGIN,
+    polynomial_roots,
+    solve_discrete_lyapunov,
+    solve_discrete_lyapunov_stack,
+)
 from .errors import AlgebraicLoop, DimensionMismatch
 
 __all__ = [
@@ -36,6 +46,7 @@ __all__ = [
     "is_internally_stable",
     "loop_stable",
     "loop_norms",
+    "loop_h2_stack",
 ]
 
 CANCEL_TOL = 1e-9
@@ -285,6 +296,12 @@ def _loop_char(c: TransferFunctionSISO, lam: float) -> np.ndarray:
     return _trim(npoly.polysub(c.den, lam * c.num))
 
 
+def _shares_den(h: TransferFunctionSISO, den: np.ndarray) -> bool:
+    """Whether a controller denominator equals d_h coefficient-wise (the filter tracker's case)."""
+    den_scale = float(np.max(np.abs(h.den)))
+    return den.size == h.den.size and np.allclose(den, h.den, rtol=0.0, atol=1e-12 * den_scale)
+
+
 def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
                          lam: float) -> TransferFunctionSISO:
     """Noise-to-error transfer function -h / (1 - lam * c).
@@ -299,8 +316,7 @@ def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
     if not c.is_strictly_proper:
         raise AlgebraicLoop("controller must be strictly proper")
     loop = _loop_char(c, lam)
-    den_scale = float(np.max(np.abs(h.den)))
-    if c.den.size == h.den.size and np.allclose(c.den, h.den, rtol=0.0, atol=1e-12 * den_scale):
+    if _shares_den(h, c.den):
         return TransferFunctionSISO(-h.num, loop)
     num_raw = -npoly.polymul(h.num, c.den)
     den_raw = npoly.polymul(h.den, loop)
@@ -336,12 +352,13 @@ def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
     return np.max(np.abs(ev), axis=-1) < 1.0 - STABILITY_MARGIN
 
 
-def _carries_internal_model(h: TransferFunctionSISO, c: TransferFunctionSISO) -> bool:
+def _carries_internal_model(h: TransferFunctionSISO, c_den: np.ndarray) -> bool:
     """Whether every non-decaying pole of h is matched by a root of n_h d_c."""
     bad = [r for r in np.atleast_1d(h.poles()) if abs(r) >= 1.0 - STABILITY_MARGIN]
     if not bad:
         return True
-    candidates = list(np.atleast_1d(h.zeros())) + list(np.atleast_1d(c.poles()))
+    c_poles = polynomial_roots(c_den) if c_den.size > 1 else []
+    candidates = list(np.atleast_1d(h.zeros())) + list(c_poles)
     _, matched_bad = _match_roots(candidates, bad, CANCEL_TOL)
     return len(matched_bad) == len(bad)
 
@@ -363,7 +380,7 @@ def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.nd
     if not c.is_strictly_proper:
         raise AlgebraicLoop("controller must be strictly proper")
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if not _carries_internal_model(h, c):
+    if not _carries_internal_model(h, c.den):
         return np.zeros(lams.size, dtype=bool)
     return roots_stable(c.den, c.num, lams)
 
@@ -455,6 +472,119 @@ def hinf_norm(w: TransferFunctionSISO) -> float:
     return max(float(mags[k]), refined)
 
 
+# Cells per chunk of `loop_h2_stack`, scaled so that a chunk's Kronecker
+# systems hold about this many numbers (128 kB); bounds the kernel's memory.
+_STACK_ENTRIES = 2 ** 14
+
+
+def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray,
+              lams: np.ndarray, num_roots: np.ndarray) -> tuple:
+    """`h2_norm_sq_exact(closed_loop_error_tf(h, nums[i] / den, lams[i]))` per cell, stacked.
+
+    Replays the scalar steps of the shared-denominator case on a stack of
+    cells: loop d_c - lam n_c, w = -n_h / loop, its strictly proper part,
+    the controllable-canonical realization and its Gramian.  Returns
+    (values, ok); ok is false where a special case of the scalar routines
+    applies or may apply (a coefficient `_trim` would drop, a root pair
+    within reach of `CANCEL_TOL`, a pole or spectral radius past the
+    margin, a Lyapunov solve that would not pass its checks), and such a
+    cell's value must come from the scalar routines.
+    """
+    q = den.size - 1
+    # Scalar cells: a numerator TransferFunctionSISO would trim, a lam * n_c
+    # whose zero top `polysub` would drop, a loop whose leading 1 `_trim`
+    # would drop.  Their loops become z^q, which keeps the stack finite.
+    ok = np.abs(nums[:, -1]) > 1e-14 * np.max(np.abs(nums), axis=1)
+    prod = lams[:, None] * nums
+    loops = np.tile(den, (lams.size, 1))
+    loops[:, : nums.shape[1]] -= prod
+    ok &= (prod[:, -1] != 0.0) & (1.0 > 1e-14 * np.max(np.abs(loops), axis=1))
+    loops[~ok] = np.eye(q + 1)[q]
+    # the roots `polynomial_roots` finds: -c0 / c1, or companion eigenvalues
+    if q == 1:
+        roots = -loops[:, :1] / loops[:, 1:]
+    else:
+        comp = np.zeros((lams.size, q, q))
+        comp[:, 1:, :-1] = np.eye(q - 1)
+        comp[:, :, -1] -= loops[:, :q] / loops[:, q:]
+        roots = np.linalg.eigvals(comp)
+    ok &= np.max(np.abs(roots), axis=1) < 1.0 - STABILITY_MARGIN
+    if num_roots.size:
+        # the scalar check takes abs of numpy scalars, which may round
+        # differently by an ulp: twice the tolerance leaves the margin
+        gaps = np.abs(roots[:, :, None] - num_roots[None, None, :])
+        ok &= np.min(gaps, axis=(1, 2)) > 2.0 * CANCEL_TOL
+    # strictly proper part: w - j_w, whose top coefficient is an exact zero
+    w_num = -h.num
+    jw = w_num[q] if w_num.size == q + 1 else 0.0
+    size = q if w_num.size == q + 1 else w_num.size
+    sp = (w_num - jw * loops[:, : w_num.size])[:, :size]
+    ok &= np.abs(sp[:, -1]) > 1e-14 * np.max(np.abs(sp), axis=1)
+    f = np.zeros((lams.size, q, q))
+    f[:, 0, :] = -loops[:, -2::-1]
+    f[:, 1:, :-1] = np.eye(q - 1)
+    gram = np.zeros((q, q))
+    gram[0, 0] = 1.0
+    sigma, solved = solve_discrete_lyapunov_stack(f, gram)
+    ok &= solved
+    b = np.zeros((lams.size, q))
+    b[:, :size] = sp
+    # the reversed view `tf_to_ss` makes: numpy multiplies a contiguous
+    # copy through another routine, which moves the last bit
+    out = b[:, ::-1]
+    val = jw ** 2 + (out[:, None, :] @ sigma @ out[:, :, None])[:, 0, 0]
+    return np.where(val < 0.0, 0.0, val), ok
+
+
+def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams,
+                  whole_rows: bool = False) -> np.ndarray:
+    """Squared H2 norms of the error loops of the controllers nums[i] / den.
+
+    The controllers share the signal model's denominator (the filter
+    tracker's case of `closed_loop_error_tf`).  Returns a
+    (controllers x curvatures) array whose row i equals, bit for bit,
+    `loop_norms(h, c_i, lams)[0]` for c_i = TransferFunctionSISO(nums[i],
+    den, cancel=False): +inf where `loop_stable` is false, else the value
+    of `h2_norm_sq_exact(closed_loop_error_tf(h, c_i, lam))`.  The stable
+    cells go through one stacked replay of those scalar routines, in
+    chunks of bounded size; a cell that meets one of their special cases
+    is evaluated by the scalar routines themselves, which raise
+    `NotConverged` where they always did.  With `whole_rows`, a
+    controller unstable at some curvature reads +inf across its row and
+    none of its cells is evaluated, the rule of a summed tracking cost.
+
+    Raises AlgebraicLoop unless the controllers are strictly proper.
+    """
+    den = np.asarray(den, dtype=float)
+    nums = np.atleast_2d(np.asarray(nums, dtype=float))
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if nums.shape[1] >= den.size:
+        raise AlgebraicLoop("controller must be strictly proper")
+    if nums.shape[1] == 0 or den.size < 2 or den[-1] != 1.0 or not _shares_den(h, den):
+        raise ValueError("need controller numerators over the signal model's monic "
+                         "denominator of degree one or more")
+    h2_sq = np.full((nums.shape[0], lams.size), np.inf)
+    if not _carries_internal_model(h, den):
+        return h2_sq
+    stable = np.array([roots_stable(den, _trim(num), lams) for num in nums])
+    if whole_rows:
+        stable &= stable.all(axis=1, keepdims=True)
+    rows, cols = np.nonzero(stable)
+    scalar = np.ones(rows.size, dtype=bool)
+    if not h.is_zero:
+        num_roots = polynomial_roots(-h.num) if h.num.size > 1 else np.zeros(0)
+        chunk = max(1, _STACK_ENTRIES // (den.size - 1) ** 4)
+        for start in range(0, rows.size, chunk):
+            r, k = rows[start:start + chunk], cols[start:start + chunk]
+            vals, ok = _h2_cells(h, den, nums[r], lams[k], num_roots)
+            h2_sq[r[ok], k[ok]] = vals[ok]
+            scalar[start:start + chunk] = ~ok
+    for i, k in zip(rows[scalar], cols[scalar]):
+        c = TransferFunctionSISO(nums[i], den, cancel=False)
+        h2_sq[i, k] = h2_norm_sq_exact(closed_loop_error_tf(h, c, float(lams[k])))
+    return h2_sq
+
+
 def loop_norms(h: TransferFunctionSISO, c: TransferFunctionSISO, lams,
                peak: bool = False) -> tuple:
     """Squared H2 norm and, with `peak`, the peak gain of the error loop per lam.
@@ -462,14 +592,21 @@ def loop_norms(h: TransferFunctionSISO, c: TransferFunctionSISO, lams,
     Returns (h2_sq, hinf), arrays aligned with lams that read +inf
     wherever `loop_stable` is false; hinf is None unless `peak`.  At
     stable points the values are those of `h2_norm_sq_exact` and
-    `hinf_norm` on `closed_loop_error_tf`.
+    `hinf_norm` on `closed_loop_error_tf`, the scalar oracle.  When c
+    shares the signal model's denominator (the filter tracker), the H2
+    part comes from the stacked kernel `loop_h2_stack`, with the same
+    bits; other controllers go through the scalar routines per lam.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    h2_sq = np.full(lams.size, np.inf)
+    stacked = c.degree > 0 and _shares_den(h, c.den)
+    h2_sq = loop_h2_stack(h, c.den, c.num, lams)[0] if stacked else np.full(lams.size, np.inf)
     hinf = np.full(lams.size, np.inf) if peak else None
+    if stacked and not peak:
+        return h2_sq, hinf
     for i in np.flatnonzero(loop_stable(h, c, lams)):
         w = closed_loop_error_tf(h, c, float(lams[i]))
-        h2_sq[i] = h2_norm_sq_exact(w)
+        if not stacked:
+            h2_sq[i] = h2_norm_sq_exact(w)
         if peak:
             hinf[i] = hinf_norm(w)
     return h2_sq, hinf

@@ -79,7 +79,9 @@ class _Objective:
             p0 = npoly.polyval(self.z, npoly.polymul(self.d_s, base))
             p1 = npoly.polyval(self.z, npoly.polymul(self.d_s, pert))
             den_v = np.abs(p0[None, :] - self.lam_grid[:, None] * p1[None, :])
-            val = float(np.max(num_v[None, :] / np.maximum(den_v, 1e-300)))
+            # division rounds monotonically, so dividing by the smallest
+            # denominator per frequency gives the bits of the full grid's max
+            val = float(np.max(num_v / np.maximum(den_v.min(axis=0), 1e-300)))
         if val < self.best:
             self.best = val
             self.best_v = np.array(v, dtype=float)

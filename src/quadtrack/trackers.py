@@ -21,7 +21,15 @@ from .errors import (
     InvalidSpectrum,
     NoStabilizingController,
 )
-from .lti import StateSpaceSISO, TransferFunctionSISO, loop_norms, loop_stable, ss_to_tf, tf_to_ss
+from .lti import (
+    StateSpaceSISO,
+    TransferFunctionSISO,
+    loop_h2_stack,
+    loop_norms,
+    loop_stable,
+    ss_to_tf,
+    tf_to_ss,
+)
 
 __all__ = [
     "UncertaintyInterval",
@@ -43,6 +51,12 @@ __all__ = [
 KIND_GD = "GradientDescent"
 KIND_KALMAN = "Kalman"
 KIND_HINF = "HInf"
+
+# Largest coefficient magnitude a stored controller may have once its
+# denominator is monic: half the float exponent range, so that products
+# of two coefficients in the loop algebra stay finite.
+_COEFF_LIMIT = 1e150
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -205,6 +219,11 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     infinite.  This routine scans the exact cost over a log-spaced grid of
     candidate curvatures and refines the best bracket, so it returns a
     stabilizing tuning whenever one exists and raises otherwise.
+
+    The whole 160-point grid is scored in one `loop_h2_stack` call, and
+    each refinement step in another; each cost sums its row left to right.
+    The kernel gives the bits of the scalar routines, so the tuned value
+    is the float a per-curvature scan of `loop_norms` returns.
     """
     eigs = _spectrum(eigs)
     sigma2 = float(sigma2)
@@ -214,14 +233,22 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     # numerator of c_mu scales as 1/mu, so one realization covers all mu
     base = make_kalman_tracker(model, sigma2, 1.0).tf
 
-    def cost(mu):
-        c = TransferFunctionSISO(base.num / mu, base.den)
+    def cost(c):
         if not loop_stable(h, c, eigs).all():
             return float("inf")
         return sigma2 * sum(loop_norms(h, c, eigs)[0].tolist())
 
+    def costs(mus):
+        cs = [TransferFunctionSISO(base.num / mu, base.den) for mu in mus]
+        if h.degree == 0 or any(not np.array_equal(c.den, h.den) or c.num.size != cs[0].num.size
+                                for c in cs):
+            return [cost(c) for c in cs]
+        # one stacked kernel call; each row sums left to right, as `cost` does
+        h2_sq = loop_h2_stack(h, h.den, [c.num for c in cs], eigs, whole_rows=True)
+        return [sigma2 * sum(row) for row in h2_sq.tolist()]
+
     grid = np.geomspace(0.25 * eigs.min(), 8.0 * eigs.max(), 160)
-    values = np.array([cost(m) for m in grid])
+    values = np.array(costs(grid))
     if not np.any(np.isfinite(values)):
         raise NoStabilizingController(
             "no curvature tuning makes the tracker internally stable "
@@ -230,7 +257,7 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
+    res = minimize_scalar(lambda mu: costs([mu])[0], bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-9})
     mu = float(res.x)
     if np.isfinite(res.fun) and res.fun <= values[best]:
@@ -287,18 +314,32 @@ def controller_from_dict(doc: dict) -> TrackerController:
     The realization is reconstructed in controllable-canonical form from
     the transfer function; statistics are preserved exactly, state
     coordinates are not.  Raises ValueError on a document that is not an
-    object holding `num` and `den` coefficient lists, on non-finite
-    coefficients, and on a `lambda_grid` that is neither a list nor null.
+    object holding `num` and `den` as flat lists of finite numbers, on
+    coefficients beyond 1e150 in magnitude once the denominator is monic,
+    and on a `lambda_grid` that is neither a list nor null.
     """
     if not isinstance(doc, dict):
         raise ValueError("controller document must be a JSON object")
     for key in ("num", "den"):
-        if not isinstance(doc.get(key), list):
+        coeffs = doc.get(key)
+        if not isinstance(coeffs, list):
             raise ValueError(f"controller document needs a coefficient list {key!r}")
+        # bool is an int subclass, but JSON true is not a coefficient; the
+        # comparison also refuses an integer too large for a float
+        if not all(type(x) in (int, float) and abs(x) <= _FLOAT_MAX for x in coeffs):
+            raise ValueError(f"controller coefficients {key!r} must be finite numbers")
     grid = doc.get("lambda_grid")
     if grid is not None and not isinstance(grid, list):
         raise ValueError("controller lambda_grid must be a list or null")
-    tf = TransferFunctionSISO.from_dict(doc)
+    try:
+        with np.errstate(over="raise"):
+            tf = TransferFunctionSISO.from_dict(doc)
+        too_large = max(np.max(np.abs(tf.num)), np.max(np.abs(tf.den))) > _COEFF_LIMIT
+    except FloatingPointError:
+        too_large = True
+    if too_large:
+        raise ValueError(f"controller coefficients exceed {_COEFF_LIMIT:g} in magnitude "
+                         "once the denominator is monic")
     ss = tf_to_ss(tf)
     return TrackerController(
         kind=doc.get("kind", KIND_HINF),

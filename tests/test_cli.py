@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,30 @@ def test_evaluate_rejects_a_malformed_controller_document(tmp_path, capsys, text
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "coefficients" in err or "controller" in err
+    assert not (tmp_path / "evaluation.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"num": [[0.3]], "den": [[-1.0, 1.0]]},
+    {"num": [1e308], "den": [1e-308, 1.0]},
+    {**_gd_document(), "num": ["0.3"]},
+    {**_gd_document(), "num": [True]},
+    {**_gd_document(), "num": [10 ** 400]},
+], ids=["nested", "overflow", "string", "bool", "huge-int"])
+def test_evaluate_accepts_only_flat_lists_of_finite_numbers(tmp_path, capsys, doc):
+    # these once printed a misleading message, leaked a numpy overflow
+    # warning, were silently read as numbers and evaluated, or crashed
+    # converting an integer beyond the float range
+    ctrl_path = tmp_path / "bad.json"
+    ctrl_path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = write_config(tmp_path / "c.json", {"scenario": stable_scenario(), "run": {"horizon": 100},
+                                             "output": {"dir": str(tmp_path)}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["evaluate", "--controller", str(ctrl_path), "--config", cfg])
+    err = capsys.readouterr().err
+    assert rc == 1 and not caught
+    assert err.startswith("error: controller coefficients") and err.count("\n") == 1
     assert not (tmp_path / "evaluation.csv").exists()
 
 

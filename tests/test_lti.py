@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from quadtrack.control_math import polynomial_roots
-from quadtrack.errors import AlgebraicLoop, DimensionMismatch
+from quadtrack.errors import AlgebraicLoop, DimensionMismatch, NotConverged
 from quadtrack.lti import (
     CANCEL_TOL,
     CIRCLE_ANGLES,
@@ -21,13 +21,14 @@ from quadtrack.lti import (
     h2_norm_sq_freq,
     hinf_norm,
     is_internally_stable,
+    loop_h2_stack,
     loop_norms,
     loop_stable,
     observable_canonical,
     ss_to_tf,
     tf_to_ss,
 )
-from quadtrack.lti import _loop_char, _match_roots
+from quadtrack.lti import _h2_cells, _loop_char, _match_roots
 
 
 def random_stable_tf(rng, max_deg=6, max_radius=0.95):
@@ -267,6 +268,66 @@ def test_loop_norms_match_frequency_integral(case):
         if not np.isfinite(value) or (w.degree > 0 and np.max(np.abs(w.poles())) > 0.998):
             continue  # the uniform sum cannot resolve poles this close to the circle
         assert value == pytest.approx(h2_norm_sq_freq(w, 2 ** 14), rel=1e-6, abs=1e-12)
+
+
+def reference_h2(h, c, lam):
+    """One cell of `loop_norms`, from the scalar routines alone."""
+    if not loop_stable(h, c, [lam])[0]:
+        return float("inf")
+    return h2_norm_sq_exact(closed_loop_error_tf(h, c, lam))
+
+
+@st.composite
+def shared_loops(draw):
+    """(h, nums, lams): a `loops()` signal model and curvature batch, with a
+    stack of strictly proper controller numerators over d_h, the filter
+    tracker's case."""
+    h, _, lams = draw(loops())
+    q = h.degree
+    assume(q > 0)  # root cancellation can leave a constant h
+    rows = draw(st.integers(1, 3))
+    nums = [draw(st.lists(st.floats(-2.0, 2.0), min_size=q, max_size=q)) for _ in range(rows)]
+    return h, 0.5 * np.array(nums), lams
+
+
+@given(shared_loops())
+def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
+    h, nums, lams = case
+    cs = [TransferFunctionSISO(num, h.den, cancel=False) for num in nums]
+    try:
+        expected = np.array([[reference_h2(h, c, float(lam)) for lam in lams] for c in cs])
+    except NotConverged:
+        with pytest.raises(NotConverged):
+            loop_h2_stack(h, h.den, nums, lams)
+        return
+    assert np.array_equal(loop_h2_stack(h, h.den, nums, lams), expected)
+    # a row unstable anywhere reads +inf throughout
+    unstable = np.array([[not loop_stable(h, c, [lam])[0] for lam in lams] for c in cs])
+    expected[unstable.any(axis=1)] = np.inf
+    assert np.array_equal(loop_h2_stack(h, h.den, nums, lams, whole_rows=True), expected)
+
+
+def test_loop_h2_stack_hands_a_cancelling_root_pair_to_the_scalar_routines():
+    # at lam = 1 the loop d_h - n_c is (z - 0.5)(z - 0.2), whose root 0.5
+    # cancels the zero of h, so the error function loses a degree there
+    d_h = npoly.polyfromroots([0.9, 0.8])
+    h = TransferFunctionSISO(npoly.polyfromroots([0.5]), d_h)
+    c = TransferFunctionSISO(npoly.polysub(d_h, npoly.polyfromroots([0.5, 0.2]))[:2], h.den)
+    lams = np.array([0.5, 1.0, 1.5])
+    assert [closed_loop_error_tf(h, c, lam).degree for lam in lams] == [2, 1, 2]
+    _, stacked = _h2_cells(h, h.den, np.tile(c.num, (3, 1)), lams, polynomial_roots(-h.num))
+    assert stacked.tolist() == [True, False, True]
+    h2_sq = loop_h2_stack(h, h.den, c.num, lams)[0]
+    assert h2_sq.tolist() == [reference_h2(h, c, lam) for lam in lams]
+    assert np.array_equal(loop_norms(h, c, lams)[0], h2_sq)
+
+
+def test_loop_h2_stack_requires_the_signal_denominator():
+    h = TransferFunctionSISO([1.0], [-0.5, 1.0])
+    with pytest.raises(ValueError):
+        loop_h2_stack(h, np.array([-0.4, 1.0]), [0.3], [1.0])
+    with pytest.raises(AlgebraicLoop):
+        loop_h2_stack(h, h.den, [0.3, 1.0], [1.0])
 
 
 # ------------------------------------------------------------------- norms

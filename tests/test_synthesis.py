@@ -155,3 +155,36 @@ def test_synthesis_zero_plant_returns_zero_controller():
                            UncertaintyInterval(1.0, 2.0), FAST)
     assert ctrl.gamma == 0.0
     assert ctrl.tf.is_zero
+
+
+def test_objective_divides_by_the_smallest_denominator_bit_for_bit():
+    """Division rounds monotonically, so the grid max of num / den equals the
+    max of num over the smallest denominator per frequency, bit for bit, on
+    feasible and infeasible coefficient vectors alike."""
+    from quadtrack.synthesis import _Objective
+    from quadtrack.trackers import factor_poles
+
+    rng = np.random.default_rng(11)
+    infeasible = 0
+    for model, (lo, hi) in [(stable_model(), (1.0, 3.5)), (unstable_model(j=1.85), (2.0, 3.3))]:
+        h = ss_to_tf(model)
+        n_h, d_u, d_s = factor_poles(h)
+        p = np.zeros(d_u.size)
+        p[-1] = 1.0
+        obj = _Objective(n_h, d_u, d_s, p, h.degree, chebyshev_grid(lo, hi, 33))
+        for scale in (0.05, 0.5, 5.0):
+            for _ in range(25):
+                v = scale * rng.standard_normal(2 * h.degree)
+                n_cbar, d_cbar = obj.split(v)
+                base = npoly.polymul(d_u, d_cbar)
+                pert = npoly.polymul(p, n_cbar)
+                num_v = np.abs(npoly.polyval(obj.z, npoly.polymul(n_h, d_cbar)))
+                p0 = npoly.polyval(obj.z, npoly.polymul(d_s, base))
+                p1 = npoly.polyval(obj.z, npoly.polymul(d_s, pert))
+                den_v = np.abs(p0[None, :] - obj.lam_grid[:, None] * p1[None, :])
+                full = float(np.max(num_v[None, :] / np.maximum(den_v, 1e-300)))
+                assert float(np.max(num_v / np.maximum(den_v.min(axis=0), 1e-300))) == full
+                value = obj(v)
+                infeasible += not np.isfinite(value)
+                assert value == full or not np.isfinite(value)
+    assert infeasible > 0
