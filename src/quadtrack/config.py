@@ -150,10 +150,12 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
                           f"the unit circle")
     d_unstable = _as_poly(_get(doc, "d_unstable", path, False, [1.0]),
                           _ctx(path, "d_unstable"))
-    if (d_unstable.size > 1
-            and np.min(np.abs(polynomial_roots(d_unstable))) < 1.0 - STABILITY_MARGIN):
-        raise ConfigError(f"{_ctx(path, 'd_unstable')} roots must all have modulus "
-                          f">= 1 - {STABILITY_MARGIN:g} (persistent modes)")
+    if d_unstable.size > 1:
+        # persistent modes sit on the circle; a growing one would overflow the simulation
+        moduli = np.abs(polynomial_roots(d_unstable))
+        if np.min(moduli) < 1.0 - STABILITY_MARGIN or np.max(moduli) > 1.0 + STABILITY_MARGIN:
+            raise ConfigError(f"{_ctx(path, 'd_unstable')} roots must all have modulus "
+                              f"within {STABILITY_MARGIN:g} of 1 (persistent modes)")
     j = _as_real(_get(doc, "j", path, True), _ctx(path, "j"))
     g = _get(doc, "g", path, False, "ones")
     if isinstance(g, str):

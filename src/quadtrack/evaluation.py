@@ -23,7 +23,15 @@ import numpy as np
 
 from .control_math import RngStream, chebyshev_grid
 from .errors import InvalidBounds
-from .lti import StateSpaceSISO, TransferFunctionSISO, loop_norms, loop_stable, ss_to_tf
+from .lti import (
+    StateSpaceSISO,
+    TransferFunctionSISO,
+    closed_loop_error_tf,
+    hinf_norm,
+    loop_h2_stack,
+    loop_stable,
+    ss_to_tf,
+)
 from .scenario import QuadraticScenario, draw_noise
 from .trackers import UncertaintyInterval, make_kalman_tracker
 
@@ -42,8 +50,8 @@ def analytic_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
     """Steady-state mean-square error summed over curvature components.
 
     Each eigenvalue contributes sigma2 times the squared H2 norm of its
-    error transfer function; a single internally unstable loop makes the
-    whole sum +inf.
+    error transfer function, from the kernel `loop_h2_stack`; a single
+    internally unstable loop makes the whole sum +inf.
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.ndim != 1 or eigs.size == 0:
@@ -51,18 +59,19 @@ def analytic_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
     sigma2 = float(sigma2)
     if sigma2 < 0.0:
         raise InvalidBounds("sigma2 must be nonnegative")
-    if not loop_stable(h, c, eigs).all():
-        return float("inf")
     # left-to-right in eigenvalue order, so the sum is reproducible bit for bit
-    return sigma2 * sum(loop_norms(h, c, eigs)[0].tolist())
+    total = sum(loop_h2_stack(h, c.den, c.num, eigs)[0].tolist())
+    # sigma2 = 0 must not turn an infinite total into 0 * inf = NaN
+    return sigma2 * total if math.isfinite(total) else float("inf")
 
 
 def robust_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
                 interval: UncertaintyInterval, grid_n: int = 33) -> float:
     """Largest peak error gain over a Chebyshev curvature grid.
 
-    +inf as soon as any grid point loses internal stability.  With a
-    degenerate interval the grid collapses and this is a single peak
+    +inf as soon as any grid point loses internal stability; otherwise
+    the largest `hinf_norm` of `closed_loop_error_tf` over the grid.  With
+    a degenerate interval the grid collapses and this is a single peak
     gain.
     """
     if grid_n < 2:
@@ -70,7 +79,7 @@ def robust_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
     lams = chebyshev_grid(interval.lambda_min, interval.lambda_max, grid_n)
     if not loop_stable(h, c, lams).all():
         return float("inf")
-    return max(loop_norms(h, c, lams, peak=True)[1].tolist())
+    return max(hinf_norm(closed_loop_error_tf(h, c, lam)) for lam in lams.tolist())
 
 
 # Steps per lifted block: L = max(1, _BLOCK_WIDTH // n), so the block

@@ -7,16 +7,16 @@ circle is the stability boundary; `control_math.STABILITY_MARGIN` separates
 "stable" from "not" everywhere in this module.  Peak gains are sampled on
 one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 
-`loop_stable` and `loop_norms` answer "is the error loop stable, and what
-are its norms?" for a whole batch of curvatures at once; every cost in
-the package goes through them.  For the filter tracker, whose controller
-shares the signal model's denominator, the H2 part comes from one stacked
-kernel, `loop_h2_stack`, over a whole (controllers x curvatures) grid: it
-replays the scalar steps with stacked eigenvalue and linear solves, so
-each cell carries the very bits of the scalar routines, and hands any
-cell where their special cases apply back to them.  The scalar routines
-(`closed_loop_error_tf`, `h2_norm_sq_exact`, `hinf_norm`) stay public as
-the per-curvature oracle of that kernel and of the tests.
+`loop_stable` answers "is the error loop stable?" for a whole batch of
+curvatures at once.  Every summed H2 cost in the package comes from one
+kernel, `loop_h2_stack`, over a whole (controllers x curvatures) grid.
+For the filter tracker, whose controller shares the signal model's
+denominator, it replays the scalar steps with stacked eigenvalue and
+linear solves, so each cell carries the very bits of the scalar
+routines; it hands every other cell, and any cell where their special
+cases apply, back to them.  The scalar routines (`closed_loop_error_tf`,
+`h2_norm_sq_exact`, `hinf_norm`) stay public as the per-curvature oracle
+of that kernel and of the tests, and give the peak gains.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ __all__ = [
     "hinf_norm",
     "is_internally_stable",
     "loop_stable",
-    "loop_norms",
     "loop_h2_stack",
 ]
 
@@ -536,42 +535,37 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray,
     return np.where(val < 0.0, 0.0, val), ok
 
 
-def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams,
-                  whole_rows: bool = False) -> np.ndarray:
+def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.ndarray:
     """Squared H2 norms of the error loops of the controllers nums[i] / den.
 
-    The controllers share the signal model's denominator (the filter
-    tracker's case of `closed_loop_error_tf`).  Returns a
-    (controllers x curvatures) array whose row i equals, bit for bit,
-    `loop_norms(h, c_i, lams)[0]` for c_i = TransferFunctionSISO(nums[i],
-    den, cancel=False): +inf where `loop_stable` is false, else the value
-    of `h2_norm_sq_exact(closed_loop_error_tf(h, c_i, lam))`.  The stable
+    Returns a (controllers x curvatures) array.  Row i belongs to
+    c_i = TransferFunctionSISO(nums[i], den, cancel=False): where
+    `loop_stable` holds at every curvature, its cells are
+    `h2_norm_sq_exact(closed_loop_error_tf(h, c_i, lam))` bit for bit;
+    otherwise the whole row reads +inf and none of its cells is
+    evaluated, the rule of a summed tracking cost.  When the controllers
+    share the signal model's monic denominator (the filter tracker), the
     cells go through one stacked replay of those scalar routines, in
-    chunks of bounded size; a cell that meets one of their special cases
-    is evaluated by the scalar routines themselves, which raise
-    `NotConverged` where they always did.  With `whole_rows`, a
-    controller unstable at some curvature reads +inf across its row and
-    none of its cells is evaluated, the rule of a summed tracking cost.
+    chunks of bounded size.  Every other cell, and every cell that meets a
+    special case of the scalar routines, is evaluated by the scalar
+    routines themselves, which raise `NotConverged` where they always did.
 
     Raises AlgebraicLoop unless the controllers are strictly proper.
     """
     den = np.asarray(den, dtype=float)
     nums = np.atleast_2d(np.asarray(nums, dtype=float))
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if nums.shape[1] >= den.size:
+    cs = [TransferFunctionSISO(num, den, cancel=False) for num in nums]
+    if not all(c.is_strictly_proper for c in cs):
         raise AlgebraicLoop("controller must be strictly proper")
-    if nums.shape[1] == 0 or den.size < 2 or den[-1] != 1.0 or not _shares_den(h, den):
-        raise ValueError("need controller numerators over the signal model's monic "
-                         "denominator of degree one or more")
-    h2_sq = np.full((nums.shape[0], lams.size), np.inf)
-    if not _carries_internal_model(h, den):
+    h2_sq = np.full((len(cs), lams.size), np.inf)
+    if not _carries_internal_model(h, cs[0].den):
         return h2_sq
-    stable = np.array([roots_stable(den, _trim(num), lams) for num in nums])
-    if whole_rows:
-        stable &= stable.all(axis=1, keepdims=True)
-    rows, cols = np.nonzero(stable)
+    stable = [i for i, c in enumerate(cs) if roots_stable(c.den, c.num, lams).all()]
+    rows = np.repeat(np.array(stable, dtype=int), lams.size)
+    cols = np.tile(np.arange(lams.size), len(stable))
     scalar = np.ones(rows.size, dtype=bool)
-    if not h.is_zero:
+    if den[-1] == 1.0 and den.size > 1 and not h.is_zero and _shares_den(h, den):
         num_roots = polynomial_roots(-h.num) if h.num.size > 1 else np.zeros(0)
         chunk = max(1, _STACK_ENTRIES // (den.size - 1) ** 4)
         for start in range(0, rows.size, chunk):
@@ -580,33 +574,5 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams,
             h2_sq[r[ok], k[ok]] = vals[ok]
             scalar[start:start + chunk] = ~ok
     for i, k in zip(rows[scalar], cols[scalar]):
-        c = TransferFunctionSISO(nums[i], den, cancel=False)
-        h2_sq[i, k] = h2_norm_sq_exact(closed_loop_error_tf(h, c, float(lams[k])))
+        h2_sq[i, k] = h2_norm_sq_exact(closed_loop_error_tf(h, cs[i], float(lams[k])))
     return h2_sq
-
-
-def loop_norms(h: TransferFunctionSISO, c: TransferFunctionSISO, lams,
-               peak: bool = False) -> tuple:
-    """Squared H2 norm and, with `peak`, the peak gain of the error loop per lam.
-
-    Returns (h2_sq, hinf), arrays aligned with lams that read +inf
-    wherever `loop_stable` is false; hinf is None unless `peak`.  At
-    stable points the values are those of `h2_norm_sq_exact` and
-    `hinf_norm` on `closed_loop_error_tf`, the scalar oracle.  When c
-    shares the signal model's denominator (the filter tracker), the H2
-    part comes from the stacked kernel `loop_h2_stack`, with the same
-    bits; other controllers go through the scalar routines per lam.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    stacked = c.degree > 0 and _shares_den(h, c.den)
-    h2_sq = loop_h2_stack(h, c.den, c.num, lams)[0] if stacked else np.full(lams.size, np.inf)
-    hinf = np.full(lams.size, np.inf) if peak else None
-    if stacked and not peak:
-        return h2_sq, hinf
-    for i in np.flatnonzero(loop_stable(h, c, lams)):
-        w = closed_loop_error_tf(h, c, float(lams[i]))
-        if not stacked:
-            h2_sq[i] = h2_norm_sq_exact(w)
-        if peak:
-            hinf[i] = hinf_norm(w)
-    return h2_sq, hinf

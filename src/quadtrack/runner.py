@@ -19,7 +19,7 @@ from .config import ExperimentConfig, build_scenario, parse_config, validate_con
 from .control_math import RngStream, chebyshev_grid
 from .errors import NoStabilizingController
 from .evaluation import analytic_cost, empirical_cost, error_trace, moving_average
-from .lti import loop_norms, loop_stable, ss_to_tf
+from .lti import closed_loop_error_tf, h2_norm_sq_exact, hinf_norm, loop_stable, ss_to_tf
 from .presets import preset_document
 from .scenario import STREAM_SIM_BASE, QuadraticScenario
 from .synthesis import SynthesisOptions, precompensated_synthesize
@@ -255,10 +255,19 @@ def evaluate_cmd(controller_path: str, config_path: str) -> list:
     else:
         emp_mean, emp_stderr = float("inf"), 0.0
     grid = chebyshev_grid(scenario.lambda_min, scenario.lambda_max, cfg.trackers.hinf_grid)
-    stable = loop_stable(h, ctrl.tf, grid).tolist()
-    h2_sq, hinf = loop_norms(h, ctrl.tf, grid, peak=True)
-    # hinf is +inf wherever the loop is unstable, so this is robust_cost on the grid
-    robust = max(hinf.tolist())
+    lines = ["lambda,stable,h2_norm_sq,hinf_norm"]
+    # +inf wherever the loop is unstable, so the largest is robust_cost on the grid
+    peaks = []
+    for lam, ok in zip(grid.tolist(), loop_stable(h, ctrl.tf, grid).tolist()):
+        if ok:
+            w = closed_loop_error_tf(h, ctrl.tf, lam)
+            peak = hinf_norm(w)
+            lines.append(f"{_fmt(lam)},true,{_fmt(h2_norm_sq_exact(w))},{_fmt(peak)}")
+        else:
+            peak = math.inf
+            lines.append(f"{_fmt(lam)},false,,")
+        peaks.append(peak)
+    robust = max(peaks)
 
     def show(value):
         return f"{value:.17g}" if math.isfinite(value) else "inf"
@@ -269,10 +278,6 @@ def evaluate_cmd(controller_path: str, config_path: str) -> list:
     print(f"empirical_stderr = {show(emp_stderr)}")
     print(f"per_lambda_stable = {int(flags.sum())}/{flags.size}")
 
-    lines = ["lambda,stable,h2_norm_sq,hinf_norm"]
-    for lam, ok, h2, peak in zip(grid.tolist(), stable, h2_sq.tolist(), hinf.tolist()):
-        lines.append(f"{_fmt(lam)},true,{_fmt(h2)},{_fmt(peak)}" if ok
-                     else f"{_fmt(lam)},false,,")
     os.makedirs(cfg.out_dir, exist_ok=True)
     table_path = _write_text(os.path.join(cfg.out_dir, "evaluation.csv"),
                              "\n".join(lines) + "\n")

@@ -98,10 +98,11 @@ def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
     any root cancellation can disturb it.  The curvature knob is tuned
     against the synthesis grid itself, so whenever the filter structure
     can stabilize the whole grid the start is live, not a dead point the
-    search must first escape.
+    search must first escape.  A constant h (white-noise signal) has no
+    filter to start from, so the search uses its random starts.
     """
     m = h.degree
-    if q_bar < m:
+    if m == 0 or q_bar < m:
         return None
     jh = h.num[m] if h.num.size == m + 1 else 0.0
     sp = npoly.polysub(h.num, jh * h.den)[: m]

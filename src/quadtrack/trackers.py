@@ -25,8 +25,6 @@ from .lti import (
     StateSpaceSISO,
     TransferFunctionSISO,
     loop_h2_stack,
-    loop_norms,
-    loop_stable,
     ss_to_tf,
     tf_to_ss,
 )
@@ -223,7 +221,7 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     The whole 160-point grid is scored in one `loop_h2_stack` call, and
     each refinement step in another; each cost sums its row left to right.
     The kernel gives the bits of the scalar routines, so the tuned value
-    is the float a per-curvature scan of `loop_norms` returns.
+    is the float a per-curvature scan of `h2_norm_sq_exact` returns.
     """
     eigs = _spectrum(eigs)
     sigma2 = float(sigma2)
@@ -233,18 +231,8 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     # numerator of c_mu scales as 1/mu, so one realization covers all mu
     base = make_kalman_tracker(model, sigma2, 1.0).tf
 
-    def cost(c):
-        if not loop_stable(h, c, eigs).all():
-            return float("inf")
-        return sigma2 * sum(loop_norms(h, c, eigs)[0].tolist())
-
     def costs(mus):
-        cs = [TransferFunctionSISO(base.num / mu, base.den) for mu in mus]
-        if h.degree == 0 or any(not np.array_equal(c.den, h.den) or c.num.size != cs[0].num.size
-                                for c in cs):
-            return [cost(c) for c in cs]
-        # one stacked kernel call; each row sums left to right, as `cost` does
-        h2_sq = loop_h2_stack(h, h.den, [c.num for c in cs], eigs, whole_rows=True)
+        h2_sq = loop_h2_stack(h, base.den, [base.num / mu for mu in mus], eigs)
         return [sigma2 * sum(row) for row in h2_sq.tolist()]
 
     grid = np.geomspace(0.25 * eigs.min(), 8.0 * eigs.max(), 160)

@@ -81,6 +81,47 @@ def test_zero_signal_model_is_rejected(tmp_path, capsys, command, scenario, run)
     assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
 
+def test_growing_signal_mode_is_rejected(tmp_path, capsys):
+    # a d_unstable root at 1.2 grows without bound: the analytic cells stay
+    # finite while the simulation overflows
+    doc = {
+        "scenario": {**stable_scenario(), "d_unstable": [-1.2, 1.0]},
+        "trackers": {"use": ["gd", "kalman"]},
+        "run": {"horizon": 100},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 1
+    assert "scenario.d_unstable" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "synthesize"])
+def test_hinf_synthesis_on_a_white_noise_signal(tmp_path, capsys, command):
+    # g = 0 with j = 1: h is the constant 1, so there is no filter to start
+    # the synthesis from.  The filter's gain is zero, and no feedback also
+    # gives the least peak gain, 1; both loops leave the error -w, so both
+    # cost n sigma^2 = 3
+    doc = {
+        "scenario": {"n": 3, "lambda_max": 2.0, "sigma": 1.0, "d_stable": [0.45, -1.4, 1.0],
+                     "g": [0.0, 0.0], "j": 1.0, "seed": 1},
+        "trackers": {"use": ["gd", "kalman", "hinf"], "hinf_grid": 5,
+                     "synthesis_starts": 2, "synthesis_max_evals": 200},
+        "run": {"horizon": 2000, "reps": 1,
+                "sweep": {"param": "lambda_max", "lo": 2.0, "hi": 2.0, "points": 1}},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    if command == "run":
+        assert main(["run", "--config", cfg]) == 0
+        row = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert row[3] == row[5] == repr(math.sqrt(3.0))
+    else:
+        out = str(tmp_path / "controller.json")
+        assert main(["synthesize", "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().out.startswith("Jhat = 1\n")
+
+
 def test_config_parse_error_reports_location(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"scenario": ', encoding="utf-8")

@@ -22,7 +22,6 @@ from quadtrack.lti import (
     hinf_norm,
     is_internally_stable,
     loop_h2_stack,
-    loop_norms,
     loop_stable,
     observable_canonical,
     ss_to_tf,
@@ -255,26 +254,40 @@ def test_loop_stable_matches_per_lambda_reference(case):
 
 
 @given(loops())
-def test_loop_norms_match_frequency_integral(case):
-    """Finite squared H2 norms agree with the Riemann sum on a fine grid;
-    unstable points read +inf in both outputs."""
+def test_loop_h2_stack_matches_frequency_integral(case):
+    """Finite squared H2 norms agree with the Riemann sum on a fine grid; a
+    controller unstable at some curvature reads +inf throughout."""
     h, c, lams = case
-    flags = loop_stable(h, c, lams)
-    h2_sq, hinf = loop_norms(h, c, lams, peak=True)
-    assert np.array_equal(h2_sq, loop_norms(h, c, lams)[0])
-    assert np.all(np.isinf(h2_sq[~flags])) and np.all(np.isinf(hinf[~flags]))
-    for lam, value in zip(lams[flags], h2_sq[flags]):
+    h2_sq = loop_h2_stack(h, c.den, c.num, lams)[0]
+    if not loop_stable(h, c, lams).all():
+        assert np.all(np.isinf(h2_sq))
+        return
+    for lam, value in zip(lams, h2_sq):
         w = closed_loop_error_tf(h, c, float(lam))
         if not np.isfinite(value) or (w.degree > 0 and np.max(np.abs(w.poles())) > 0.998):
             continue  # the uniform sum cannot resolve poles this close to the circle
         assert value == pytest.approx(h2_norm_sq_freq(w, 2 ** 14), rel=1e-6, abs=1e-12)
 
 
-def reference_h2(h, c, lam):
-    """One cell of `loop_norms`, from the scalar routines alone."""
-    if not loop_stable(h, c, [lam])[0]:
-        return float("inf")
-    return h2_norm_sq_exact(closed_loop_error_tf(h, c, lam))
+def reference_row(h, c, lams):
+    """One row of `loop_h2_stack`, from the scalar routines alone: +inf
+    throughout unless the loop is stable at every curvature."""
+    if not all(loop_stable(h, c, [lam])[0] for lam in lams):
+        return [float("inf")] * len(lams)
+    return [h2_norm_sq_exact(closed_loop_error_tf(h, c, float(lam))) for lam in lams]
+
+
+@given(loops())
+def test_loop_h2_stack_replays_the_scalar_routines_for_any_controller(case):
+    """A controller with its own denominator gets the scalar values cell by cell."""
+    h, c, lams = case
+    try:
+        expected = reference_row(h, c, lams)
+    except NotConverged:
+        with pytest.raises(NotConverged):
+            loop_h2_stack(h, c.den, c.num, lams)
+        return
+    assert np.array_equal(loop_h2_stack(h, c.den, c.num, lams)[0], expected)
 
 
 @st.composite
@@ -295,16 +308,12 @@ def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
     h, nums, lams = case
     cs = [TransferFunctionSISO(num, h.den, cancel=False) for num in nums]
     try:
-        expected = np.array([[reference_h2(h, c, float(lam)) for lam in lams] for c in cs])
+        expected = np.array([reference_row(h, c, lams) for c in cs])
     except NotConverged:
         with pytest.raises(NotConverged):
             loop_h2_stack(h, h.den, nums, lams)
         return
     assert np.array_equal(loop_h2_stack(h, h.den, nums, lams), expected)
-    # a row unstable anywhere reads +inf throughout
-    unstable = np.array([[not loop_stable(h, c, [lam])[0] for lam in lams] for c in cs])
-    expected[unstable.any(axis=1)] = np.inf
-    assert np.array_equal(loop_h2_stack(h, h.den, nums, lams, whole_rows=True), expected)
 
 
 def test_loop_h2_stack_hands_a_cancelling_root_pair_to_the_scalar_routines():
@@ -317,15 +326,16 @@ def test_loop_h2_stack_hands_a_cancelling_root_pair_to_the_scalar_routines():
     assert [closed_loop_error_tf(h, c, lam).degree for lam in lams] == [2, 1, 2]
     _, stacked = _h2_cells(h, h.den, np.tile(c.num, (3, 1)), lams, polynomial_roots(-h.num))
     assert stacked.tolist() == [True, False, True]
-    h2_sq = loop_h2_stack(h, h.den, c.num, lams)[0]
-    assert h2_sq.tolist() == [reference_h2(h, c, lam) for lam in lams]
-    assert np.array_equal(loop_norms(h, c, lams)[0], h2_sq)
+    assert loop_h2_stack(h, h.den, c.num, lams)[0].tolist() == reference_row(h, c, lams)
 
 
-def test_loop_h2_stack_requires_the_signal_denominator():
+def test_loop_h2_stack_takes_any_strictly_proper_controller():
     h = TransferFunctionSISO([1.0], [-0.5, 1.0])
-    with pytest.raises(ValueError):
-        loop_h2_stack(h, np.array([-0.4, 1.0]), [0.3], [1.0])
+    lams = [1.0, 1.5]
+    for c in (TransferFunctionSISO([0.3], [-0.4, 1.0]), TransferFunctionSISO([0.0], [1.0])):
+        h2_sq = loop_h2_stack(h, c.den, c.num, lams)[0]
+        assert np.all(np.isfinite(h2_sq))
+        assert h2_sq.tolist() == reference_row(h, c, lams)
     with pytest.raises(AlgebraicLoop):
         loop_h2_stack(h, h.den, [0.3, 1.0], [1.0])
 

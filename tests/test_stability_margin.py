@@ -36,7 +36,9 @@ def _synthesis_rejects(h):
 @pytest.mark.parametrize("gap, in_band", [(0.5, True), (2.0, False)])
 def test_stability_decisions_flip_together_at_the_margin(gap, in_band):
     """A pole at modulus 1 - gap * STABILITY_MARGIN counts as persistent
-    everywhere when gap < 1, and as stable everywhere when gap > 1."""
+    everywhere when gap < 1, and as stable everywhere when gap > 1; the
+    config's persistent modes end at 1 + STABILITY_MARGIN, where growing
+    ones begin."""
     pole = 1.0 - gap * STABILITY_MARGIN
     h = TransferFunctionSISO([1.0], [-pole, 1.0])
     assert np.isinf(h2_norm_sq_exact(h)) == in_band
@@ -46,4 +48,5 @@ def test_stability_decisions_flip_together_at_the_margin(gap, in_band):
     assert factor_poles(h)[1].size - 1 == int(in_band)
     assert _config_accepts("d_stable", pole) != in_band
     assert _config_accepts("d_unstable", pole) == in_band
+    assert _config_accepts("d_unstable", 1.0 + gap * STABILITY_MARGIN) == in_band
     assert _synthesis_rejects(h) == in_band

@@ -1,11 +1,12 @@
-"""The package surface: every exported name exists, every traced function resolves,
-and the config layer imports without the heavy layers."""
+"""The package surface: every exported name exists, every traced function and every
+name the README gives resolves, and the config layer imports without the heavy layers."""
 
 import importlib
 import importlib.util
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ import quadtrack
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(quadtrack.__path__))
 LAYERS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -32,6 +34,19 @@ def test_every_traced_function_resolves():
     missing = [f"{layer}.{fn}" for layer, names in layers.TRACED.items() for fn in names
                if not callable(getattr(importlib.import_module(f"quadtrack.{layer}"), fn,
                                        None))]
+    assert missing == []
+
+
+def test_every_name_the_readme_gives_resolves():
+    # the README documents the library by qualified name and by its
+    # example's imports, so removing or renaming a function must update it
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(r"\bquadtrack\.(\w+)\.(\w+)", text)
+    for module, imported in re.findall(r"^from quadtrack\.(\w+) import (.+)$", text, re.M):
+        names += [(module, name.strip()) for name in imported.split(",")]
+    assert names
+    missing = [f"quadtrack.{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"quadtrack.{module}"), name)]
     assert missing == []
 
 

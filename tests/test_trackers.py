@@ -265,11 +265,14 @@ def reference_mu_star_search(model, sigma2, eigs):
      False),
     ({"lambda_min": 2.0, "lambda_max": 3.3, "d_stable": [0.765625, -1.75, 1.0],
       "d_unstable": D_U.tolist(), "j": 1.85}, True),
-], ids=["stable", "persistent"])
+    ({"lambda_min": 1.0, "lambda_max": 2.0, "d_stable": [0.45, -1.4, 1.0], "g": [0.0, 0.0],
+      "j": 1.0}, False),
+], ids=["stable", "persistent", "white-noise"])
 def test_mu_star_search_matches_the_per_mu_scan_bit_for_bit(scenario, grid):
     """The benchmark's stable and persistent models, tuned on the realized
-    spectrum and on the 9-point synthesis grid: the stacked search returns
-    the very float of the scalar scan, not just a close one."""
+    spectrum and on the 9-point synthesis grid, and a white-noise model,
+    whose constant h shares no denominator with the filter: the kernel
+    search returns the very float of the scalar scan, not just a close one."""
     from quadtrack.config import build_scenario, validate_config
     from quadtrack.control_math import chebyshev_grid
 
