@@ -173,6 +173,9 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
             raise ConfigError(f"{_ctx(path, 'g')} is all zeros and j is 0: the signal "
                               f"model is zero, so the minimizer never moves")
     seed = _as_int(_get(doc, "seed", path, True), _ctx(path, "seed"))
+    if not -(1 << 63) <= seed < 1 << 63:
+        # RngStream keys on the seed modulo 2^64, which is one-to-one on this range
+        raise ConfigError(f"{_ctx(path, 'seed')} must be in [-2^63, 2^63), got {seed}")
     if d_stable.size + d_unstable.size - 2 < 1:
         raise ConfigError(f"{path}: model order is zero; give d_stable or d_unstable "
                           f"a root")

@@ -336,17 +336,19 @@ def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
 
     den is monic with degree strictly above deg(num), so each family
     member is monic of fixed degree; the companion matrices are stacked
-    and factored in one batched eigenvalue call.
+    and factored in one batched eigenvalue call.  A 2-D num is a stack of
+    numerators, one per row and zero-padded to a common width below
+    deg(den); the flags then have one row per numerator.
     """
     lams = np.asarray(lams, dtype=float)
     q = den.size - 1
     if q == 0:
-        return np.ones(lams.size, dtype=bool)
-    coeffs = np.tile(den[:q], (lams.size, 1))
-    coeffs[:, : num.size] -= np.outer(lams, num)
-    comp = np.zeros((lams.size, q, q))
-    comp[:, 1:, :-1] = np.eye(q - 1)
-    comp[:, :, -1] = -coeffs
+        return np.ones(num.shape[:-1] + (lams.size,), dtype=bool)
+    coeffs = np.tile(den[:q], num.shape[:-1] + (lams.size, 1))
+    coeffs[..., : num.shape[-1]] -= lams[:, None] * num[..., None, :]
+    comp = np.zeros(coeffs.shape + (q,))
+    comp[..., 1:, :-1] = np.eye(q - 1)
+    comp[..., -1] = -coeffs
     ev = np.linalg.eigvals(comp)
     return np.max(np.abs(ev), axis=-1) < 1.0 - STABILITY_MARGIN
 
@@ -561,8 +563,12 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     h2_sq = np.full((len(cs), lams.size), np.inf)
     if not _carries_internal_model(h, cs[0].den):
         return h2_sq
-    stable = [i for i, c in enumerate(cs) if roots_stable(c.den, c.num, lams).all()]
-    rows = np.repeat(np.array(stable, dtype=int), lams.size)
+    padded = np.zeros((len(cs), cs[0].degree))
+    for i, c in enumerate(cs):
+        if not c.is_zero:
+            padded[i, : c.num.size] = c.num
+    stable = np.flatnonzero(roots_stable(cs[0].den, padded, lams).all(axis=1))
+    rows = np.repeat(stable, lams.size)
     cols = np.tile(np.arange(lams.size), len(stable))
     scalar = np.ones(rows.size, dtype=bool)
     if den[-1] == 1.0 and den.size > 1 and not h.is_zero and _shares_den(h, den):

@@ -48,7 +48,12 @@ class SynthesisOptions:
 
 
 class _Objective:
-    """Worst-case grid gain of the candidate coefficient vector."""
+    """Worst-case grid gain of the candidate coefficient vector.
+
+    The (curvature x frequency) denominators are written into buffers made
+    once per instance, so an instance is not reentrant: evaluate one
+    vector at a time.
+    """
 
     def __init__(self, n_h, d_u, d_s, p, q_bar, lam_grid):
         self.n_h = n_h
@@ -58,6 +63,10 @@ class _Objective:
         self.q_bar = q_bar
         self.lam_grid = lam_grid
         self.z = CIRCLE_POINTS
+        # a real lam is cast to lam + 0j inside the complex ufuncs anyway
+        self.lam_c = lam_grid.astype(complex)[:, None]
+        self.grid = np.empty((lam_grid.size, CIRCLE_POINTS.size), dtype=complex)
+        self.mag = np.empty(self.grid.shape)
         self.best = float("inf")
         self.best_v = None
 
@@ -78,10 +87,12 @@ class _Objective:
             num_v = np.abs(npoly.polyval(self.z, npoly.polymul(self.n_h, d_cbar)))
             p0 = npoly.polyval(self.z, npoly.polymul(self.d_s, base))
             p1 = npoly.polyval(self.z, npoly.polymul(self.d_s, pert))
-            den_v = np.abs(p0[None, :] - self.lam_grid[:, None] * p1[None, :])
+            np.multiply(self.lam_c, p1, out=self.grid)
+            np.subtract(p0, self.grid, out=self.grid)
+            np.abs(self.grid, out=self.mag)
             # division rounds monotonically, so dividing by the smallest
             # denominator per frequency gives the bits of the full grid's max
-            val = float(np.max(num_v / np.maximum(den_v.min(axis=0), 1e-300)))
+            val = float(np.max(num_v / np.maximum(self.mag.min(axis=0), 1e-300)))
         if val < self.best:
             self.best = val
             self.best_v = np.array(v, dtype=float)

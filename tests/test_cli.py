@@ -431,3 +431,31 @@ def test_one_point_sweep_over_a_range_is_rejected(tmp_path, capsys):
     assert rc == 1
     assert "run.sweep" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_preset_seed_beyond_64_bits_is_rejected(tmp_path, capsys):
+    # the random streams key on the seed modulo 2^64, so 2^64 + 1 would
+    # replay seed 1 while the sidecar records the large seed
+    assert main(["preset", "trace-stable", "--out", str(tmp_path),
+                 "--seed", str(2 ** 64 + 1)]) == 1
+    assert "scenario.seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed, ok", [(-2 ** 63, True), (2 ** 63 - 1, True),
+                                      (-2 ** 63 - 1, False), (2 ** 63, False)])
+def test_seed_range_ends(tmp_path, capsys, seed, ok):
+    doc = {
+        "scenario": stable_scenario(seed=seed),
+        "trackers": {"use": ["gd"]},
+        "run": {"horizon": 10, "window": 5},
+        "output": {"dir": str(tmp_path), "name": "t.csv"},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == (0 if ok else 1)
+    if ok:
+        meta = json.loads((tmp_path / "t.meta.json").read_text(encoding="utf-8"))
+        assert meta["seed"] == seed
+    else:
+        assert "scenario.seed" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()

@@ -299,8 +299,11 @@ def shared_loops(draw):
     q = h.degree
     assume(q > 0)  # root cancellation can leave a constant h
     rows = draw(st.integers(1, 3))
-    nums = [draw(st.lists(st.floats(-2.0, 2.0), min_size=q, max_size=q)) for _ in range(rows)]
-    return h, 0.5 * np.array(nums), lams
+    nums = np.array([draw(st.lists(st.floats(-2.0, 2.0), min_size=q, max_size=q))
+                     for _ in range(rows)])
+    # a trimmed numerator, or the zero one, must be padded in the stack
+    nums[-1, draw(st.integers(0, q)):] = 0.0
+    return h, 0.5 * nums, lams
 
 
 @given(shared_loops())

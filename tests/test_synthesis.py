@@ -14,6 +14,7 @@ from quadtrack.lti import (
     hinf_norm,
     is_internally_stable,
     observable_canonical,
+    roots_stable,
     ss_to_tf,
 )
 from quadtrack.synthesis import SynthesisOptions, hinf_synthesize, precompensated_synthesize
@@ -188,3 +189,54 @@ def test_objective_divides_by_the_smallest_denominator_bit_for_bit():
                 infeasible += not np.isfinite(value)
                 assert value == full or not np.isfinite(value)
     assert infeasible > 0
+
+
+def test_objective_reuses_its_buffers_without_stale_values():
+    """One instance scores a shuffled mix of feasible, loop-unstable and
+    non-finite vectors with the values a per-call-allocation formula and a
+    fresh instance give, so no buffer carries a value between calls."""
+    from quadtrack.synthesis import _kalman_start, _Objective
+    from quadtrack.trackers import factor_poles
+
+    rng = np.random.default_rng(12)
+    for model, (lo, hi) in [(stable_model(), (1.0, 3.5)), (unstable_model(j=1.85), (2.0, 3.3))]:
+        h = ss_to_tf(model)
+        n_h, d_u, d_s = factor_poles(h)
+        p = np.zeros(d_u.size)
+        p[-1] = 1.0
+        lam_grid = chebyshev_grid(lo, hi, 9)
+        args = (n_h, d_u, d_s, p, h.degree, lam_grid)
+        obj = _Objective(*args)
+        v0 = _kalman_start(h, lam_grid, d_s, p, h.degree)
+        vs = [v0] + [v0 + 1e-3 * rng.standard_normal(v0.size) for _ in range(3)]
+        vs += [s * rng.standard_normal(v0.size) for s in (0.5, 5.0, 5.0)]
+        for bad in (np.nan, np.inf, -np.inf):
+            v = v0.copy()
+            v[rng.integers(v.size)] = bad
+            vs.append(v)
+        kinds = set()
+        for k in rng.permutation(len(vs)):
+            v = vs[k]
+            n_cbar, d_cbar = obj.split(v)
+            base = npoly.polymul(d_u, d_cbar)
+            pert = npoly.polymul(p, n_cbar)
+            if not (np.isfinite(base).all() and np.isfinite(pert).all()):
+                expected, kind = float("inf"), "non-finite"
+            elif not roots_stable(base, pert, obj.lam_grid).all():
+                expected, kind = float("inf"), "unstable"
+            else:
+                num_v = np.abs(npoly.polyval(obj.z, npoly.polymul(n_h, d_cbar)))
+                p0 = npoly.polyval(obj.z, npoly.polymul(d_s, base))
+                p1 = npoly.polyval(obj.z, npoly.polymul(d_s, pert))
+                den_v = np.abs(p0[None, :] - obj.lam_grid[:, None] * p1[None, :])
+                expected = float(np.max(num_v / np.maximum(den_v.min(axis=0), 1e-300)))
+                kind = "feasible"
+            kinds.add(kind)
+            value = obj(v)
+            assert value == expected
+            assert value == _Objective(*args)(v)
+            if obj.best_v is not None:
+                assert not np.shares_memory(obj.best_v, obj.grid)
+                assert not np.shares_memory(obj.best_v, obj.mag)
+                assert not np.shares_memory(obj.best_v, v)
+        assert kinds == {"feasible", "unstable", "non-finite"}
