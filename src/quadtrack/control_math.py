@@ -4,8 +4,6 @@ All routines work on plain float64 numpy arrays.  Polynomials are 1-D
 coefficient arrays in ascending powers, `p[k]` multiplying ``z**k``.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 
@@ -78,44 +76,39 @@ def spectral_radius(a) -> float:
 
 
 def solve_discrete_lyapunov(a, q) -> np.ndarray:
-    """Solve ``A P A^T + Q - P = 0`` for symmetric P.
+    """Solve ``A P A^T + Q - P = 0`` for symmetric P: the one-slice stack.
 
     Parameters
     ----------
-    a : (m, m) array, spectral radius strictly below one.
+    a : (m, m) array, spectral radius below 1 - STABILITY_MARGIN.
     q : (m, m) array, symmetric.
 
     Returns
     -------
-    P : (m, m) symmetric array with relative residual at most 1e-10.
+    P : (m, m) symmetric array with relative residual at most 1e-10;
+        NotConverged where `solve_discrete_lyapunov_stack` flags the slice.
     """
     a = _square(a, "a")
     q = _square(q, "q")
     if a.shape != q.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {q.shape}")
-    if spectral_radius(a) >= 1.0 - STABILITY_MARGIN:
-        raise NotConverged("spectral radius of a is not strictly below one")
-    p = scipy.linalg.solve_discrete_lyapunov(a, q, method="direct")
-    p = 0.5 * (p + p.T)
-    res = np.linalg.norm(a @ p @ a.T + q - p, "fro")
-    scale = max(1.0, np.linalg.norm(p, "fro"), np.linalg.norm(q, "fro"))
-    if not np.isfinite(res) or res > 1e-10 * scale:
-        raise NotConverged(f"lyapunov residual {res:.3e} above tolerance")
-    return p
+    p, ok = solve_discrete_lyapunov_stack(a[None], q)
+    if not ok[0]:
+        raise NotConverged("spectral radius not below the margin, or lyapunov residual above 1e-10")
+    return p[0]
 
 
 def solve_discrete_lyapunov_stack(a, q) -> tuple[np.ndarray, np.ndarray]:
-    """`solve_discrete_lyapunov` for every slice of a stack a, one shared q.
+    """Solve ``A P A^T + Q - P = 0`` for every slice of a stack a, one shared q.
 
-    Each slice takes the steps of the single-matrix routine in stacked
-    form: the spectral radius, the Kronecker system I - a (x) a, one
-    stacked `scipy.linalg.solve` (its slices give the bits of a per-matrix
-    call; a 1 x 1 system is a division, as scipy does it), symmetrization
-    and the residual check.  Returns (P, ok): P[i] holds the bits of
-    `solve_discrete_lyapunov(a[i], q)` wherever ok[i].  ok[i] is false
-    where that routine raises or might (spectral radius past the margin,
-    residual above half its tolerance, a solve that fails or warns); the
-    caller then runs the single-matrix routine on that slice.
+    scipy's direct method in stacked form: the Kronecker system
+    I - a (x) a, one stacked `scipy.linalg.solve` (its slices give the bits
+    of a per-matrix call; a 1 x 1 system is a division, as scipy does it),
+    then symmetrization.  Returns (P, ok); ok[i] holds where the spectral
+    radius of a[i] is below 1 - STABILITY_MARGIN and the relative residual
+    of P[i] is at most 1e-10, and is false for every slice when the
+    eigenvalue call or the solve fails.  An ill-conditioned slice makes
+    scipy warn, and its residual decides.
 
     Parameters
     ----------
@@ -131,29 +124,23 @@ def solve_discrete_lyapunov_stack(a, q) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:
         return failed
     idx = np.flatnonzero(ok)
-    if idx.size == 0:
-        return p, ok
     a = a[idx]
     kron = a[:, :, None, :, None] * a[:, None, :, None, :]  # kron(a_i, a_i) per slice
     lhs = np.eye(m * m) - kron.reshape(-1, m * m, m * m)
     rhs = np.tile(q.reshape(m * m, 1), (idx.size, 1, 1))
     if m == 1:
-        if np.any(lhs == 0.0):
-            return failed
         x = rhs / lhs
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            try:
-                x = scipy.linalg.solve(lhs, rhs)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-                return failed
+        try:
+            x = scipy.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            return failed
     x = x.reshape(-1, m, m)
     x = 0.5 * (x + x.transpose(0, 2, 1))
     res = np.linalg.norm(a @ x @ a.transpose(0, 2, 1) + q - x, axis=(1, 2))
     scale = np.maximum(np.maximum(1.0, np.linalg.norm(x, axis=(1, 2))), np.linalg.norm(q, "fro"))
     p[idx] = x
-    ok[idx] = np.isfinite(res) & (res <= 0.5e-10 * scale)
+    ok[idx] = np.isfinite(res) & (res <= 1e-10 * scale)
     return p, ok
 
 

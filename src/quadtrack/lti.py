@@ -8,15 +8,16 @@ circle is the stability boundary; `control_math.STABILITY_MARGIN` separates
 one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 
 `loop_stable` answers "is the error loop stable?" for a whole batch of
-curvatures at once.  Every summed H2 cost in the package comes from one
-kernel, `loop_h2_stack`, over a whole (controllers x curvatures) grid.
-For the filter tracker, whose controller shares the signal model's
-denominator, it replays the scalar steps with stacked eigenvalue and
-linear solves, so each cell carries the very bits of the scalar
-routines; it hands every other cell, and any cell where their special
-cases apply, back to them.  The scalar routines (`closed_loop_error_tf`,
-`h2_norm_sq_exact`, `hinf_norm`) stay public as the per-curvature oracle
-of that kernel and of the tests, and give the peak gains.
+curvatures at once.  Every summed H2 cost comes from one kernel,
+`loop_h2_stack`, over a whole (controllers x curvatures) grid, and every
+squared H2 norm from one stacked Gramian step, `_gramian_h2`, whose
+one-row case is `h2_norm_sq_exact`.  For the filter tracker, whose
+controller shares the signal model's denominator, the kernel takes that
+step on all its cells at once, so each carries the bits of the scalar
+routines by construction; other cells, and cells where their special
+cases apply, go to the scalar routines (`closed_loop_error_tf`,
+`h2_norm_sq_exact`, `hinf_norm`).  These stay public as the per-curvature
+oracle of the kernel and of the tests, and give the peak gains.
 """
 
 from dataclasses import dataclass
@@ -24,13 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .control_math import (
-    STABILITY_MARGIN,
-    polynomial_roots,
-    solve_discrete_lyapunov,
-    solve_discrete_lyapunov_stack,
-)
-from .errors import AlgebraicLoop, DimensionMismatch
+from .control_math import STABILITY_MARGIN, polynomial_roots, solve_discrete_lyapunov_stack
+from .errors import AlgebraicLoop, DimensionMismatch, NotConverged
 
 __all__ = [
     "TransferFunctionSISO",
@@ -392,13 +388,37 @@ def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
     return bool(loop_stable(h, c, [lam])[0])
 
 
+def _gramian_h2(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
+    """jw**2 + ||sp[i] / loops[i]||_2^2 per row, via the controllability Gramian.
+
+    loops: (N, q + 1) monic ascending denominators, q >= 1; sp: (N, k <= q)
+    ascending numerators.  Each row is realized as `tf_to_ss` does, its
+    Gramian driven by e_1 e_1^T comes from one `solve_discrete_lyapunov_stack`
+    call, and the value is clamped at 0.  Returns (values, ok), ok the
+    solver's flags.
+    """
+    n, q = loops.shape[0], loops.shape[1] - 1
+    f = np.zeros((n, q, q))
+    f[:, 0, :] = -loops[:, -2::-1]
+    f[:, 1:, :-1] = np.eye(q - 1)
+    drive = np.zeros((q, q))
+    drive[0, 0] = 1.0
+    sigma, ok = solve_discrete_lyapunov_stack(f, drive)
+    b = np.zeros((n, q))
+    b[:, : sp.shape[1]] = sp
+    # the reversed view `tf_to_ss` makes: numpy multiplies a contiguous
+    # copy through another routine, which moves the last bit
+    out = b[:, ::-1]
+    val = jw ** 2 + (out[:, None, :] @ sigma @ out[:, :, None])[:, 0, 0]
+    return np.where(val < 0.0, 0.0, val), ok
+
+
 def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
     """Squared H2 norm via the controllability Gramian.
 
     Returns +inf when any pole has modulus >= 1 - control_math.STABILITY_MARGIN.
-    For w = j_w + strictly proper part realized as (F, G, H), the value
-    is j_w**2 + H Sigma H^T with Sigma the Gramian from the discrete
-    Lyapunov equation.
+    For w = j_w + strictly proper part, the value is `_gramian_h2` of
+    that part.  Raises NotConverged where its Lyapunov solve fails.
     """
     if w.is_zero:
         return 0.0
@@ -412,11 +432,10 @@ def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
     sp_num = _trim(npoly.polysub(w.num, jw * w.den))
     if TransferFunctionSISO._is_zero_poly(sp_num):
         return float(jw ** 2)
-    sp = TransferFunctionSISO(sp_num, w.den, cancel=False)
-    ss = tf_to_ss(sp)
-    sigma = solve_discrete_lyapunov(ss.F, np.outer(ss.G, ss.G))
-    val = float(jw ** 2 + ss.H @ sigma @ ss.H)
-    return max(val, 0.0)
+    val, ok = _gramian_h2(w.den[None], sp_num[None], jw)
+    if not ok[0]:
+        raise NotConverged("lyapunov solve of the H2 Gramian failed")
+    return float(val[0])
 
 
 def h2_norm_sq_freq(w: TransferFunctionSISO, n: int) -> float:
@@ -482,13 +501,13 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray,
               lams: np.ndarray, num_roots: np.ndarray) -> tuple:
     """`h2_norm_sq_exact(closed_loop_error_tf(h, nums[i] / den, lams[i]))` per cell, stacked.
 
-    Replays the scalar steps of the shared-denominator case on a stack of
-    cells: loop d_c - lam n_c, w = -n_h / loop, its strictly proper part,
-    the controllable-canonical realization and its Gramian.  Returns
-    (values, ok); ok is false where a special case of the scalar routines
-    applies or may apply (a coefficient `_trim` would drop, a root pair
-    within reach of `CANCEL_TOL`, a pole or spectral radius past the
-    margin, a Lyapunov solve that would not pass its checks), and such a
+    Takes the scalar steps of the shared-denominator case on a stack of
+    cells: loop d_c - lam n_c, w = -n_h / loop and its strictly proper
+    part, then the Gramian step `_gramian_h2` that `h2_norm_sq_exact`
+    shares.  Returns (values, ok); ok is false where a special case of the
+    scalar routines applies or may apply (a coefficient `_trim` would drop,
+    a root pair within reach of `CANCEL_TOL`, a pole or spectral radius
+    past the margin, a Lyapunov solve that fails its checks), and such a
     cell's value must come from the scalar routines.
     """
     q = den.size - 1
@@ -501,14 +520,11 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray,
     loops[:, : nums.shape[1]] -= prod
     ok &= (prod[:, -1] != 0.0) & (1.0 > 1e-14 * np.max(np.abs(loops), axis=1))
     loops[~ok] = np.eye(q + 1)[q]
-    # the roots `polynomial_roots` finds: -c0 / c1, or companion eigenvalues
-    if q == 1:
-        roots = -loops[:, :1] / loops[:, 1:]
-    else:
-        comp = np.zeros((lams.size, q, q))
-        comp[:, 1:, :-1] = np.eye(q - 1)
-        comp[:, :, -1] -= loops[:, :q] / loops[:, q:]
-        roots = np.linalg.eigvals(comp)
+    # the roots `polynomial_roots` finds: companion eigenvalues (-c0 / c1 when q == 1)
+    comp = np.zeros((lams.size, q, q))
+    comp[:, 1:, :-1] = np.eye(q - 1)
+    comp[:, :, -1] -= loops[:, :q] / loops[:, q:]
+    roots = np.linalg.eigvals(comp)
     ok &= np.max(np.abs(roots), axis=1) < 1.0 - STABILITY_MARGIN
     if num_roots.size:
         # the scalar check takes abs of numpy scalars, which may round
@@ -521,20 +537,8 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray,
     size = q if w_num.size == q + 1 else w_num.size
     sp = (w_num - jw * loops[:, : w_num.size])[:, :size]
     ok &= np.abs(sp[:, -1]) > 1e-14 * np.max(np.abs(sp), axis=1)
-    f = np.zeros((lams.size, q, q))
-    f[:, 0, :] = -loops[:, -2::-1]
-    f[:, 1:, :-1] = np.eye(q - 1)
-    gram = np.zeros((q, q))
-    gram[0, 0] = 1.0
-    sigma, solved = solve_discrete_lyapunov_stack(f, gram)
-    ok &= solved
-    b = np.zeros((lams.size, q))
-    b[:, :size] = sp
-    # the reversed view `tf_to_ss` makes: numpy multiplies a contiguous
-    # copy through another routine, which moves the last bit
-    out = b[:, ::-1]
-    val = jw ** 2 + (out[:, None, :] @ sigma @ out[:, :, None])[:, 0, 0]
-    return np.where(val < 0.0, 0.0, val), ok
+    vals, solved = _gramian_h2(loops, sp, jw)
+    return vals, ok & solved
 
 
 def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.ndarray:
@@ -547,7 +551,7 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     otherwise the whole row reads +inf and none of its cells is
     evaluated, the rule of a summed tracking cost.  When the controllers
     share the signal model's monic denominator (the filter tracker), the
-    cells go through one stacked replay of those scalar routines, in
+    cells go through the scalar routines' steps in stacked form, in
     chunks of bounded size.  Every other cell, and every cell that meets a
     special case of the scalar routines, is evaluated by the scalar
     routines themselves, which raise `NotConverged` where they always did.

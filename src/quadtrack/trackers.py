@@ -7,6 +7,7 @@ emits the next query point, so the interconnection with the gradient
 oracle is well posed.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,8 +246,11 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    res = minimize_scalar(lambda mu: costs([mu])[0], bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-9})
+    with warnings.catch_warnings():
+        # +inf costs at an unstable bracket end make Brent's parabolic step compute inf - inf
+        warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"scipy\.optimize")
+        res = minimize_scalar(lambda mu: costs([mu])[0], bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-9})
     mu = float(res.x)
     if np.isfinite(res.fun) and res.fun <= values[best]:
         return mu

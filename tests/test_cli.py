@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -459,3 +463,27 @@ def test_seed_range_ends(tmp_path, capsys, seed, ok):
     else:
         assert "scenario.seed" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+
+def test_filter_tuning_leaves_stderr_empty(tmp_path):
+    # the filter start's tuning meets +inf costs at its refinement bracket's
+    # end, where scipy's bounded search computes inf - inf; nothing of that
+    # may reach stderr
+    doc = {
+        "scenario": {"n": 10, "lambda_min": 1.0, "lambda_max": 3.5, "sigma": 1.0,
+                     "d_stable": [0.950625, -1.95, 1.0], "j": 0.0, "g": [1.0, -1.0], "seed": 1},
+        "trackers": {"use": ["gd", "kalman", "hinf"], "hinf_grid": 9,
+                     "synthesis_starts": 1, "synthesis_max_evals": 300},
+        "run": {"horizon": 2000, "sweep": {"param": "lambda_max", "lo": 3.5, "hi": 3.5,
+                                           "points": 1}},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys; from quadtrack.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, "run", "--config", cfg], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    header, row = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert all(math.isfinite(float(cell)) for cell in row.split(","))

@@ -1,5 +1,7 @@
 """Numerical kernel tests: RNG streams, matrix equations, roots, grids."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,8 +13,10 @@ from quadtrack.control_math import (
     random_orthogonal,
     solve_dare,
     solve_discrete_lyapunov,
+    solve_discrete_lyapunov_stack,
     spectral_radius,
 )
+from quadtrack.control_math import _dare_spectral_candidate
 from quadtrack.errors import DimensionMismatch, NotConverged
 
 
@@ -136,7 +140,65 @@ def test_lyapunov_rejects_shape_mismatch():
         solve_discrete_lyapunov(np.eye(2) * 0.5, np.eye(3))
 
 
+def test_lyapunov_keeps_the_bits_of_scipys_direct_solve():
+    # the solver is the one-slice stack; it must still give, bit for bit,
+    # scipy's direct method followed by symmetrization
+    rng = np.random.default_rng(17)
+    for m in range(1, 7):
+        for radius in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999):
+            for _ in range(4):
+                a = rng.standard_normal((m, m))
+                a *= radius / spectral_radius(a)
+                s = rng.standard_normal((m, m))
+                q = s + s.T
+                p = scipy.linalg.solve_discrete_lyapunov(a, q, method="direct")
+                assert np.array_equal(solve_discrete_lyapunov(a, q), 0.5 * (p + p.T))
+
+
+# Denominator, ascending, of a degree-9 function (poles up to 0.946) whose
+# companion Lyapunov system is ill-conditioned: scipy warns, rcond 4.5e-17.
+ILL_DEN = [-0.002767663855218701, -0.007383451045211173, 0.12590081827345556,
+           0.0385353501602457, -2.493135087781646, 8.461436150767556, -13.464883687392291,
+           11.64363833402563, -5.30133829943819, 1.0]
+
+
+def test_lyapunov_stack_judges_each_slice_on_its_own():
+    # an ill-conditioned slice must not fail the batch: scipy's warning
+    # stays visible, and every slice keeps its one-slice result
+    stack = np.stack([np.diag(np.linspace(-0.5, 0.5, 9)) + 0.1 * np.eye(9, k=1),
+                      companion(ILL_DEN)])
+    drive = np.zeros((9, 9))
+    drive[0, 0] = 1.0
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        p, ok = solve_discrete_lyapunov_stack(stack, drive)
+    assert ok[0]
+    for i in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            p_i, ok_i = solve_discrete_lyapunov_stack(stack[i:i + 1], drive)
+        assert np.array_equal(p_i[0], p[i]) and ok_i[0] == ok[i]
+
+
 # -------------------------------------------------------------------- DARE
+
+
+def test_dare_falls_back_to_the_recursion_at_a_zero_on_the_circle():
+    # observable companion form of d = z^2 - 1.95 z + 0.950625; G = [1, -1]
+    # puts the transmission zero at z = 1, where the spectral construction
+    # does not apply
+    f = np.array([[1.95, 1.0], [-0.950625, 0.0]])
+    g = np.array([1.0, -1.0])
+    h = np.array([1.0, 0.0])
+    for s2 in (0.5, 1.0, 2.0):
+        assert _dare_spectral_candidate(f, g, h, 0.0, s2) is None
+        p = solve_dare(f, g, h, 0.0, s2)
+        assert np.allclose(p, s2 * np.outer(g, g), rtol=0.0, atol=1e-14 * s2)
+        assert np.linalg.norm(dare_rhs(p, f, g, h, 0.0, s2) - p, "fro") <= 1e-14 * s2
+    k = dare_gain(solve_dare(f, g, h, 0.0, 1.0), f, g, h, 0.0, 1.0)
+    assert k == pytest.approx([0.95, -0.950625], rel=1e-14)
+    # the circle zero reflected onto itself, the deficit at the origin
+    ev = np.sort(np.abs(np.linalg.eigvals(f - np.outer(k, h))))
+    assert ev == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
 def test_dare_collapses_with_full_feedthrough():

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -290,6 +291,19 @@ def test_loop_h2_stack_replays_the_scalar_routines_for_any_controller(case):
     assert np.array_equal(loop_h2_stack(h, c.den, c.num, lams)[0], expected)
 
 
+@settings(max_examples=40)
+@given(loops())
+def test_error_tf_is_the_direct_formula_pointwise(case):
+    """w = -h / (1 - lam c) at every curvature of the draw, on |z| = 1.25,
+    which clears every pole of h and of c."""
+    h, c, lams = case
+    z = 1.25 * np.exp(1j * circle_angles(16))
+    for lam in lams:
+        direct = -h(z) / (1.0 - lam * c(z))
+        w = closed_loop_error_tf(h, c, float(lam))
+        assert np.allclose(w(z), direct, rtol=0.0, atol=1e-8 * np.max(np.abs(direct)))
+
+
 @st.composite
 def shared_loops(draw):
     """(h, nums, lams): a `loops()` signal model and curvature batch, with a
@@ -370,6 +384,24 @@ def test_h2_unstable_is_infinite():
     assert h2_norm_sq_exact(resonant) == float("inf")
     assert h2_norm_sq_freq(resonant, 4096) == float("inf")
     assert hinf_norm(resonant) == float("inf")
+
+
+def test_h2_exact_keeps_the_bits_of_the_realization_and_scipy_solve():
+    # the shared Gramian step must give, bit for bit, the route it replaced:
+    # `tf_to_ss` of the strictly proper part, scipy's direct Lyapunov solve
+    # (symmetrized), H Sigma H^T plus the squared feedthrough, clamped at 0
+    rng = np.random.default_rng(37)
+    for _ in range(300):  # degrees 1 to 10, poles up to 0.995
+        den = random_stable_tf(rng, max_deg=10, max_radius=0.995).den
+        deg = den.size - 1
+        w = TransferFunctionSISO(rng.standard_normal(int(rng.integers(1, deg + 2))), den,
+                                 cancel=False)
+        jw = w.num[deg] if w.num.size == deg + 1 else 0.0
+        sp = TransferFunctionSISO(npoly.polysub(w.num, jw * w.den), w.den, cancel=False)
+        ss = tf_to_ss(sp)
+        sigma = scipy.linalg.solve_discrete_lyapunov(ss.F, np.outer(ss.G, ss.G), method="direct")
+        sigma = 0.5 * (sigma + sigma.T)
+        assert h2_norm_sq_exact(w) == max(float(jw ** 2 + ss.H @ sigma @ ss.H), 0.0)
 
 
 def test_h2_exact_matches_frequency_grid():

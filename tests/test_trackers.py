@@ -1,5 +1,7 @@
 """Tracker construction, tuning rules, and serialization tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -229,6 +231,23 @@ def test_mu_star_search_raises_beyond_the_gain_margin():
     model = unstable_model(j=1.0)
     with pytest.raises(NoStabilizingController):
         mu_star_search(model, 1.0, np.array([1.0, 2.15, 3.3]))
+
+
+def test_mu_star_search_keeps_the_refinements_inf_arithmetic_quiet():
+    # the synthesis start's tuning of this model: the refinement bracket
+    # ends where the loop is unstable, so Brent's parabolic step computes
+    # inf - inf; that must leak no warning and leave the tuned float as it is
+    from quadtrack.config import build_scenario, validate_config
+    from quadtrack.control_math import chebyshev_grid
+
+    doc = {"scenario": {"n": 10, "lambda_min": 1.0, "lambda_max": 3.5, "sigma": 1.0,
+                        "d_stable": [0.950625, -1.95, 1.0], "j": 0.0, "g": [1.0, -1.0],
+                        "seed": 1},
+           "run": {"horizon": 100}}
+    model = build_scenario(validate_config(doc).scenario).model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mu_star_search(model, 1.0, chebyshev_grid(1.0, 3.5, 9)) == 3.5000056121581493
 
 
 def reference_mu_star_search(model, sigma2, eigs):
