@@ -11,13 +11,14 @@ one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 curvatures at once.  Every summed H2 cost comes from one kernel,
 `loop_h2_stack`, over a whole (controllers x curvatures) grid, and every
 squared H2 norm from one stacked Gramian step, `_gramian_h2`, whose
-one-row case is `h2_norm_sq_exact`.  For the filter tracker, whose
-controller shares the signal model's denominator, the kernel takes that
-step on all its cells at once, so each carries the bits of the scalar
-routines by construction; other cells, and cells where their special
-cases apply, go to the scalar routines (`closed_loop_error_tf`,
-`h2_norm_sq_exact`, `hinf_norm`).  These stay public as the per-curvature
-oracle of the kernel and of the tests, and give the peak gains.
+one-row case is `h2_norm_sq_exact`.  The kernel factors each loop once,
+for the row flags; for the filter tracker, whose controller shares the
+signal model's denominator, its stacked cells read those roots and the
+controllers' own coefficients, so each carries the bits of the scalar
+routines by construction.  Other cells, and cells where a special case of
+the scalar routines applies, go to those routines (`closed_loop_error_tf`,
+`h2_norm_sq_exact`, `hinf_norm`), which stay public as the per-curvature
+oracle of the kernel and of the tests and give the peak gains.
 """
 
 from dataclasses import dataclass
@@ -267,12 +268,13 @@ def ss_to_tf(ss: StateSpaceSISO) -> TransferFunctionSISO:
 
 
 def tf_to_ss(tf: TransferFunctionSISO) -> StateSpaceSISO:
-    """Controllable-canonical realization of a strictly proper function."""
+    """Controllable-canonical realization of a strictly proper function; the
+    zero constant gets one state, which never reaches the output."""
     if not tf.is_strictly_proper:
         raise ValueError("realization requires a strictly proper transfer function")
     q = tf.degree
-    if q < 1:
-        raise ValueError("cannot realize a constant")
+    if q == 0:
+        return StateSpaceSISO(np.zeros((1, 1)), np.zeros(1), np.zeros(1), 0.0)
     a = tf.den
     f = np.zeros((q, q))
     f[0, :] = -a[-2::-1]
@@ -327,26 +329,34 @@ def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
     return TransferFunctionSISO(num, den, cancel=False)
 
 
+def _loop_roots(den: np.ndarray, nums: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Roots of den(z) - lam * nums(z) per lam, as `polynomial_roots` finds them.
+
+    den is monic of degree q; nums is a numerator, or a stack of them one
+    per row, zero-padded to width at most q.  The companion matrices are
+    filled as numpy's `polycompanion` does and factored in one batched
+    eigenvalue call, so each row, once sorted, is `polynomial_roots` of its
+    loop bit for bit.  Shape nums.shape[:-1] + (lams.size, q), unsorted.
+    """
+    q = den.size - 1
+    coeffs = np.tile(den[:q], nums.shape[:-1] + (lams.size, 1))
+    coeffs[..., : nums.shape[-1]] -= lams[:, None] * nums[..., None, :]
+    if q < 2:
+        return -coeffs  # `polyroots`' closed form -c0 / c1; a constant loop has no roots
+    comp = np.zeros(coeffs.shape + (q,))
+    comp[..., 1:, :-1] = np.eye(q - 1)
+    comp[..., -1] -= coeffs
+    return np.linalg.eigvals(comp)
+
+
 def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
     """Per lam, whether every root of den(z) - lam * num(z) is inside the circle.
 
-    den is monic with degree strictly above deg(num), so each family
-    member is monic of fixed degree; the companion matrices are stacked
-    and factored in one batched eigenvalue call.  A 2-D num is a stack of
-    numerators, one per row and zero-padded to a common width below
-    deg(den); the flags then have one row per numerator.
+    The modulus test over `_loop_roots`.  A 2-D num is a stack of
+    numerators; the flags then have one row per numerator.
     """
-    lams = np.asarray(lams, dtype=float)
-    q = den.size - 1
-    if q == 0:
-        return np.ones(num.shape[:-1] + (lams.size,), dtype=bool)
-    coeffs = np.tile(den[:q], num.shape[:-1] + (lams.size, 1))
-    coeffs[..., : num.shape[-1]] -= lams[:, None] * num[..., None, :]
-    comp = np.zeros(coeffs.shape + (q,))
-    comp[..., 1:, :-1] = np.eye(q - 1)
-    comp[..., -1] = -coeffs
-    ev = np.linalg.eigvals(comp)
-    return np.max(np.abs(ev), axis=-1) < 1.0 - STABILITY_MARGIN
+    roots = _loop_roots(den, num, np.asarray(lams, dtype=float))
+    return (np.abs(roots) < 1.0 - STABILITY_MARGIN).all(axis=-1)
 
 
 def _carries_internal_model(h: TransferFunctionSISO, c_den: np.ndarray) -> bool:
@@ -497,35 +507,23 @@ def hinf_norm(w: TransferFunctionSISO) -> float:
 _STACK_ENTRIES = 2 ** 14
 
 
-def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray,
-              lams: np.ndarray, num_roots: np.ndarray) -> tuple:
+def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray, lams: np.ndarray,
+              roots: np.ndarray, num_roots: np.ndarray) -> tuple:
     """`h2_norm_sq_exact(closed_loop_error_tf(h, nums[i] / den, lams[i]))` per cell, stacked.
 
-    Takes the scalar steps of the shared-denominator case on a stack of
-    cells: loop d_c - lam n_c, w = -n_h / loop and its strictly proper
-    part, then the Gramian step `_gramian_h2` that `h2_norm_sq_exact`
-    shares.  Returns (values, ok); ok is false where a special case of the
-    scalar routines applies or may apply (a coefficient `_trim` would drop,
-    a root pair within reach of `CANCEL_TOL`, a pole or spectral radius
-    past the margin, a Lyapunov solve that fails its checks), and such a
-    cell's value must come from the scalar routines.
+    den is the controllers' monic denominator, nums each cell's stored
+    numerator zero-padded to width deg(den), roots the `_loop_roots` of its
+    loop (all inside the margin) and num_roots those of -n_h.  Returns
+    (values, ok); ok is false where a special case of the scalar routines
+    applies or may apply (a leading 1 `_trim` would drop, a root pair
+    within reach of `CANCEL_TOL`, a strictly proper part `_trim` would
+    shorten, a Lyapunov solve that fails its checks), and such a cell's
+    value must come from the scalar routines.
     """
     q = den.size - 1
-    # Scalar cells: a numerator TransferFunctionSISO would trim, a lam * n_c
-    # whose zero top `polysub` would drop, a loop whose leading 1 `_trim`
-    # would drop.  Their loops become z^q, which keeps the stack finite.
-    ok = np.abs(nums[:, -1]) > 1e-14 * np.max(np.abs(nums), axis=1)
-    prod = lams[:, None] * nums
     loops = np.tile(den, (lams.size, 1))
-    loops[:, : nums.shape[1]] -= prod
-    ok &= (prod[:, -1] != 0.0) & (1.0 > 1e-14 * np.max(np.abs(loops), axis=1))
-    loops[~ok] = np.eye(q + 1)[q]
-    # the roots `polynomial_roots` finds: companion eigenvalues (-c0 / c1 when q == 1)
-    comp = np.zeros((lams.size, q, q))
-    comp[:, 1:, :-1] = np.eye(q - 1)
-    comp[:, :, -1] -= loops[:, :q] / loops[:, q:]
-    roots = np.linalg.eigvals(comp)
-    ok &= np.max(np.abs(roots), axis=1) < 1.0 - STABILITY_MARGIN
+    loops[:, :q] -= lams[:, None] * nums
+    ok = 1.0 > 1e-14 * np.max(np.abs(loops), axis=1)
     if num_roots.size:
         # the scalar check takes abs of numpy scalars, which may round
         # differently by an ulp: twice the tolerance leaves the margin
@@ -533,8 +531,7 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray,
         ok &= np.min(gaps, axis=(1, 2)) > 2.0 * CANCEL_TOL
     # strictly proper part: w - j_w, whose top coefficient is an exact zero
     w_num = -h.num
-    jw = w_num[q] if w_num.size == q + 1 else 0.0
-    size = q if w_num.size == q + 1 else w_num.size
+    jw, size = (w_num[q], q) if w_num.size == q + 1 else (0.0, w_num.size)
     sp = (w_num - jw * loops[:, : w_num.size])[:, :size]
     ok &= np.abs(sp[:, -1]) > 1e-14 * np.max(np.abs(sp), axis=1)
     vals, solved = _gramian_h2(loops, sp, jw)
@@ -548,13 +545,13 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     c_i = TransferFunctionSISO(nums[i], den, cancel=False): where
     `loop_stable` holds at every curvature, its cells are
     `h2_norm_sq_exact(closed_loop_error_tf(h, c_i, lam))` bit for bit;
-    otherwise the whole row reads +inf and none of its cells is
-    evaluated, the rule of a summed tracking cost.  When the controllers
-    share the signal model's monic denominator (the filter tracker), the
-    cells go through the scalar routines' steps in stacked form, in
-    chunks of bounded size.  Every other cell, and every cell that meets a
-    special case of the scalar routines, is evaluated by the scalar
-    routines themselves, which raise `NotConverged` where they always did.
+    otherwise the whole row reads +inf, the rule of a summed tracking
+    cost.  One `_loop_roots` call factors every loop for the row flags.
+    When the controllers share the signal model's denominator (the filter
+    tracker), the stable rows' cells go to `_h2_cells` in chunks of
+    bounded size, with those roots and the controllers' own coefficients.
+    Every other cell, and every cell `_h2_cells` refuses, goes to the
+    scalar routines, which raise `NotConverged` where they always did.
 
     Raises AlgebraicLoop unless the controllers are strictly proper.
     """
@@ -565,22 +562,24 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     if not all(c.is_strictly_proper for c in cs):
         raise AlgebraicLoop("controller must be strictly proper")
     h2_sq = np.full((len(cs), lams.size), np.inf)
-    if not _carries_internal_model(h, cs[0].den):
+    c_den, q = cs[0].den, cs[0].degree
+    if not _carries_internal_model(h, c_den):
         return h2_sq
-    padded = np.zeros((len(cs), cs[0].degree))
+    padded = np.zeros((len(cs), q))
     for i, c in enumerate(cs):
         if not c.is_zero:
             padded[i, : c.num.size] = c.num
-    stable = np.flatnonzero(roots_stable(cs[0].den, padded, lams).all(axis=1))
+    roots = _loop_roots(c_den, padded, lams)
+    stable = np.flatnonzero((np.abs(roots) < 1.0 - STABILITY_MARGIN).all(axis=(1, 2)))
     rows = np.repeat(stable, lams.size)
     cols = np.tile(np.arange(lams.size), len(stable))
     scalar = np.ones(rows.size, dtype=bool)
-    if den[-1] == 1.0 and den.size > 1 and not h.is_zero and _shares_den(h, den):
+    if q > 0 and _shares_den(h, c_den):
         num_roots = polynomial_roots(-h.num) if h.num.size > 1 else np.zeros(0)
-        chunk = max(1, _STACK_ENTRIES // (den.size - 1) ** 4)
+        chunk = max(1, _STACK_ENTRIES // q ** 4)
         for start in range(0, rows.size, chunk):
             r, k = rows[start:start + chunk], cols[start:start + chunk]
-            vals, ok = _h2_cells(h, den, nums[r], lams[k], num_roots)
+            vals, ok = _h2_cells(h, c_den, padded[r], lams[k], roots[r, k], num_roots)
             h2_sq[r[ok], k[ok]] = vals[ok]
             scalar[start:start + chunk] = ~ok
     for i, k in zip(rows[scalar], cols[scalar]):

@@ -182,8 +182,8 @@ def precompensated_synthesize(h: TransferFunctionSISO, interval: UncertaintyInte
     lam_grid = chebyshev_grid(interval.lambda_min, interval.lambda_max, opts.grid_points)
     if h.is_zero:
         tf = TransferFunctionSISO([0.0], [1.0])
-        return TrackerController(KIND_HINF, tf, np.zeros((1, 1)), np.zeros(1), np.zeros(1),
-                                 gamma=0.0, lambda_grid=lam_grid)
+        ss = tf_to_ss(tf)
+        return TrackerController(KIND_HINF, tf, ss.F, ss.G, ss.H, gamma=0.0, lambda_grid=lam_grid)
     n_h, d_u, d_s = factor_poles(h)
     n_u = d_u.size - 1
     p = np.zeros(n_u + 1)

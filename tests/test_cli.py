@@ -322,6 +322,30 @@ def test_evaluate_table_on_a_partly_stable_grid(tmp_path, capsys):
             assert h2 == "" and hinf == ""
 
 
+def test_evaluate_takes_the_synthesized_zero_controller(tmp_path, capsys):
+    # synthesis for a zero signal model stores {"num": [0.0], "den": [1.0]};
+    # evaluating it once failed with "error: cannot realize a constant".
+    # With c = 0 the error is -h at every curvature, so J = sigma^2 n ||h||^2.
+    from quadtrack.config import build_scenario, validate_config
+    from quadtrack.lti import TransferFunctionSISO, h2_norm_sq_exact, ss_to_tf
+    from quadtrack.synthesis import SynthesisOptions, hinf_synthesize
+    from quadtrack.trackers import UncertaintyInterval, controller_to_dict
+
+    ctrl = hinf_synthesize(TransferFunctionSISO([0.0], [-0.5, 1.0]), UncertaintyInterval(1.0, 2.0),
+                           SynthesisOptions(starts=1, max_evals=20, grid_points=5, seed=0))
+    ctrl_path = tmp_path / "zero.json"
+    ctrl_path.write_text(json.dumps(controller_to_dict(ctrl)), encoding="utf-8")
+    doc = {"scenario": {**stable_scenario(n=2), "sigma": 2.0},
+           "trackers": {"hinf_grid": 5}, "run": {"horizon": 200, "burnin": 20, "reps": 1},
+           "output": {"dir": str(tmp_path)}}
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["evaluate", "--controller", str(ctrl_path), "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    h = ss_to_tf(build_scenario(validate_config(doc).scenario).model)
+    assert float(out.split("analytic_J = ")[1].split()[0]) == 2.0 ** 2 * 2 * h2_norm_sq_exact(h)
+    assert "per_lambda_stable = 2/2" in out
+
+
 def test_evaluate_rejects_malformed_controller(tmp_path, capsys):
     ctrl_path = tmp_path / "bad.json"
     ctrl_path.write_text("{not json", encoding="utf-8")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -28,7 +28,7 @@ from quadtrack.lti import (
     ss_to_tf,
     tf_to_ss,
 )
-from quadtrack.lti import _h2_cells, _loop_char, _match_roots
+from quadtrack.lti import _h2_cells, _loop_char, _loop_roots, _match_roots
 
 
 def random_stable_tf(rng, max_deg=6, max_radius=0.95):
@@ -130,6 +130,13 @@ def test_ss_to_tf_with_feedthrough_matches_resolvent():
 def test_tf_to_ss_rejects_feedthrough():
     with pytest.raises(ValueError):
         tf_to_ss(TransferFunctionSISO([1.0, 1.0], [0.5, 1.0]))
+
+
+def test_tf_to_ss_realizes_the_zero_constant_only():
+    ss = tf_to_ss(TransferFunctionSISO([0.0], [1.0]))
+    assert (ss.F.tolist(), ss.G.tolist(), ss.H.tolist(), ss.j) == ([[0.0]], [0.0], [0.0], 0.0)
+    with pytest.raises(ValueError):
+        tf_to_ss(TransferFunctionSISO([2.0], [1.0]))
 
 
 # ------------------------------------------------------------- closed loop
@@ -306,9 +313,10 @@ def test_error_tf_is_the_direct_formula_pointwise(case):
 
 @st.composite
 def shared_loops(draw):
-    """(h, nums, lams): a `loops()` signal model and curvature batch, with a
-    stack of strictly proper controller numerators over d_h, the filter
-    tracker's case."""
+    """(h, den, nums, lams): a `loops()` signal model and curvature batch,
+    with a stack of strictly proper controller numerators over d_h, the
+    filter tracker's case; den and nums carry one common nonzero scale,
+    which the controllers normalize away."""
     h, _, lams = draw(loops())
     q = h.degree
     assume(q > 0)  # root cancellation can leave a constant h
@@ -317,20 +325,66 @@ def shared_loops(draw):
                      for _ in range(rows)])
     # a trimmed numerator, or the zero one, must be padded in the stack
     nums[-1, draw(st.integers(0, q)):] = 0.0
-    return h, 0.5 * nums, lams
+    scale = draw(st.sampled_from([1.0, 2.0, -0.5, 3.7]))
+    return h, scale * h.den, scale * 0.5 * nums, lams
+
+
+def padded_rows(cs):
+    """The controllers' own numerators, zero-padded to width deg(den)."""
+    rows = np.zeros((len(cs), cs[0].degree))
+    for row, c in zip(rows, cs):
+        row[: c.num.size] = c.num
+    return rows
+
+
+# z^3 - 0.5 z: a last companion column written as -coeffs holds -0.0 where
+# numpy's holds 0.0, and the eigenvalue routine then moves +-sqrt(0.5) by an ulp
+@example((TransferFunctionSISO([1.0], [0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0]),
+          np.array([[0.0, 0.5, 0.0]]), np.array([1.0])))
+@given(shared_loops())
+def test_loop_roots_are_the_roots_polynomial_roots_finds(case):
+    """Each sorted row of `_loop_roots` is `polynomial_roots` of its loop bit
+    for bit, zero coefficients included."""
+    h, den, nums, lams = case
+    cs = [TransferFunctionSISO(num, den, cancel=False) for num in nums]
+    roots = _loop_roots(cs[0].den, padded_rows(cs), lams)
+    for c, row in zip(cs, roots):
+        for lam, r in zip(lams, row):
+            assert np.array_equal(np.sort(r), polynomial_roots(_loop_char(c, float(lam))))
 
 
 @given(shared_loops())
 def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
-    h, nums, lams = case
-    cs = [TransferFunctionSISO(num, h.den, cancel=False) for num in nums]
+    h, den, nums, lams = case
+    cs = [TransferFunctionSISO(num, den, cancel=False) for num in nums]
     try:
         expected = np.array([reference_row(h, c, lams) for c in cs])
     except NotConverged:
         with pytest.raises(NotConverged):
-            loop_h2_stack(h, h.den, nums, lams)
+            loop_h2_stack(h, den, nums, lams)
         return
-    assert np.array_equal(loop_h2_stack(h, h.den, nums, lams), expected)
+    assert np.array_equal(loop_h2_stack(h, den, nums, lams), expected)
+
+
+def stacked_cells(h, cs, lams):
+    """`_h2_cells` over every (controller, lam) cell of cs, row-major."""
+    nums = padded_rows(cs)
+    roots = _loop_roots(cs[0].den, nums, lams).reshape(len(cs) * lams.size, -1)
+    num_roots = polynomial_roots(-h.num) if h.num.size > 1 else np.zeros(0)
+    return _h2_cells(h, cs[0].den, np.repeat(nums, lams.size, axis=0), np.tile(lams, len(cs)),
+                     roots, num_roots)
+
+
+def test_h2_cells_take_trimmed_and_zero_numerators():
+    # the controllers' own coefficients need no replay of `_trim`: a
+    # numerator whose top coefficient is 0 and the zero numerator are
+    # stacked cells like any other
+    h = TransferFunctionSISO([1.0, 0.5], npoly.polyfromroots([0.9, 0.8]))
+    cs = [TransferFunctionSISO(num, h.den, cancel=False) for num in ([-0.1, 0.0], [0.0, 0.0])]
+    lams = np.array([0.5, 1.0, 1.5])
+    vals, ok = stacked_cells(h, cs, lams)
+    assert ok.all()
+    assert vals.tolist() == [v for c in cs for v in reference_row(h, c, lams)]
 
 
 def test_loop_h2_stack_hands_a_cancelling_root_pair_to_the_scalar_routines():
@@ -341,7 +395,7 @@ def test_loop_h2_stack_hands_a_cancelling_root_pair_to_the_scalar_routines():
     c = TransferFunctionSISO(npoly.polysub(d_h, npoly.polyfromroots([0.5, 0.2]))[:2], h.den)
     lams = np.array([0.5, 1.0, 1.5])
     assert [closed_loop_error_tf(h, c, lam).degree for lam in lams] == [2, 1, 2]
-    _, stacked = _h2_cells(h, h.den, np.tile(c.num, (3, 1)), lams, polynomial_roots(-h.num))
+    _, stacked = stacked_cells(h, [c], lams)
     assert stacked.tolist() == [True, False, True]
     assert loop_h2_stack(h, h.den, c.num, lams)[0].tolist() == reference_row(h, c, lams)
 
@@ -402,6 +456,26 @@ def test_h2_exact_keeps_the_bits_of_the_realization_and_scipy_solve():
         sigma = scipy.linalg.solve_discrete_lyapunov(ss.F, np.outer(ss.G, ss.G), method="direct")
         sigma = 0.5 * (sigma + sigma.T)
         assert h2_norm_sq_exact(w) == max(float(jw ** 2 + ss.H @ sigma @ ss.H), 0.0)
+
+
+@pytest.mark.xfail(reason="known defect, CHANGES.md FOUND line on `lti.h2_norm_sq_exact`: "
+                          "the Kronecker solve is off by 1.1e-4 relative on this ill-conditioned "
+                          "TF and only scipy's LinAlgWarning says so; a fix changes bits")
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_h2_exact_is_right_or_refuses_on_an_ill_conditioned_tf():
+    # poles up to 0.946; a 2^20-point circle mean gives 139719925612.5 and a
+    # 200 000-term impulse sum 139719925617.1
+    w = TransferFunctionSISO(
+        [8.247249180657024, 2.8926074371279773, -5.508343738511932, -0.41187945012180954,
+         2.66441618555109, -6.3751517036118, -2.6887107657985942, -5.059782738965728],
+        [-0.002767663855218701, -0.007383451045211173, 0.12590081827345556, 0.0385353501602457,
+         -2.493135087781646, 8.461436150767556, -13.464883687392291, 11.64363833402563,
+         -5.30133829943819, 1.0])
+    try:
+        value = h2_norm_sq_exact(w)
+    except NotConverged:
+        return
+    assert value == pytest.approx(139719925612.5, rel=1e-8)
 
 
 def test_h2_exact_matches_frequency_grid():

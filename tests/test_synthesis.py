@@ -18,7 +18,12 @@ from quadtrack.lti import (
     ss_to_tf,
 )
 from quadtrack.synthesis import SynthesisOptions, hinf_synthesize, precompensated_synthesize
-from quadtrack.trackers import UncertaintyInterval, make_kalman_tracker
+from quadtrack.trackers import (
+    UncertaintyInterval,
+    controller_from_dict,
+    controller_to_dict,
+    make_kalman_tracker,
+)
 
 D_U = np.array([1.0, -2.0 * np.cos(np.pi / 12.0), 1.0])
 
@@ -156,6 +161,12 @@ def test_synthesis_zero_plant_returns_zero_controller():
                            UncertaintyInterval(1.0, 2.0), FAST)
     assert ctrl.gamma == 0.0
     assert ctrl.tf.is_zero
+    # the JSON round trip: controller_from_dict once refused the stored
+    # {"num": [0.0], "den": [1.0]} with "cannot realize a constant"
+    back = controller_from_dict(controller_to_dict(ctrl))
+    assert back.tf.is_zero and back.tf.degree == 0
+    for a, b in ((back.F, ctrl.F), (back.G, ctrl.G), (back.H, ctrl.H)):
+        assert np.array_equal(a, b)
 
 
 def test_objective_divides_by_the_smallest_denominator_bit_for_bit():
