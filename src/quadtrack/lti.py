@@ -515,25 +515,26 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray, lams: 
     numerator zero-padded to width deg(den), roots the `_loop_roots` of its
     loop (all inside the margin) and num_roots those of -n_h.  Returns
     (values, ok); ok is false where a special case of the scalar routines
-    applies or may apply (a leading 1 `_trim` would drop, a root pair
-    within reach of `CANCEL_TOL`, a strictly proper part `_trim` would
-    shorten, a Lyapunov solve that fails its checks), and such a cell's
-    value must come from the scalar routines.
+    applies or may apply (a root pair within reach of `CANCEL_TOL`, a
+    strictly proper part `_trim` would shorten, a Lyapunov solve that
+    fails its checks), and such a cell's value must come from the scalar
+    routines.  The leading 1 is never `_trim`med: each loop is monic of
+    degree q with all roots inside the unit circle, so its coefficients
+    are below the binomials C(q, k) <= 2^q, and below 1e14 up to q = 49.
     """
     q = den.size - 1
     loops = np.tile(den, (lams.size, 1))
     loops[:, :q] -= lams[:, None] * nums
-    ok = 1.0 > 1e-14 * np.max(np.abs(loops), axis=1)
+    # strictly proper part: w - j_w, whose top coefficient is an exact zero
+    w_num = -h.num
+    jw, size = (w_num[q], q) if w_num.size == q + 1 else (0.0, w_num.size)
+    sp = (w_num - jw * loops[:, : w_num.size])[:, :size]
+    ok = np.abs(sp[:, -1]) > 1e-14 * np.max(np.abs(sp), axis=1)
     if num_roots.size:
         # the scalar check takes abs of numpy scalars, which may round
         # differently by an ulp: twice the tolerance leaves the margin
         gaps = np.abs(roots[:, :, None] - num_roots[None, None, :])
         ok &= np.min(gaps, axis=(1, 2)) > 2.0 * CANCEL_TOL
-    # strictly proper part: w - j_w, whose top coefficient is an exact zero
-    w_num = -h.num
-    jw, size = (w_num[q], q) if w_num.size == q + 1 else (0.0, w_num.size)
-    sp = (w_num - jw * loops[:, : w_num.size])[:, :size]
-    ok &= np.abs(sp[:, -1]) > 1e-14 * np.max(np.abs(sp), axis=1)
     vals, solved = _gramian_h2(loops, sp, jw)
     return vals, ok & solved
 

@@ -14,12 +14,11 @@ is synthesized against the stabilized plant n / (p d_s).  A stable h is
 the case d_u = p = 1, so stable and persistent models share one path.
 """
 
-import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import minimize
 
 from .control_math import STABILITY_MARGIN, RngStream, chebyshev_grid
 from .errors import InvalidBounds, NoStabilizingController, QuadtrackError
@@ -97,6 +96,84 @@ class _Objective:
             self.best = val
             self.best_v = np.array(v, dtype=float)
         return val
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def minimize(fun, x0, maxfev: int, xatol: float, fatol: float) -> SimpleNamespace:
+    """Nelder-Mead simplex search from x0 with at most maxfev evaluations.
+
+    A port of scipy 1.17's `minimize(method="Nelder-Mead")` without bounds,
+    adaptive coefficients or an iteration cap: every step is the same float
+    expression in the same order, so it evaluates the very points scipy
+    does.  fun gets a copy of each point.  Returns x, fun and nfev.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        # the call that would overrun the budget is not made
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfBudget
+        nfev += 1
+        return fun(np.copy(x))
+
+    def ordered(sim, fsim):
+        # default-kind argsort is not stable: its order among tied +inf
+        # vertices decides which one is reflected next
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _OutOfBudget:
+        pass
+    # scipy sorts twice here; an unstable sort need not leave a sorted array's ties in place
+    sim, fsim = ordered(*ordered(sim, fsim))
+    while nfev < maxfev:
+        try:
+            # +inf vertices make fsim[0] - fsim[1:] an inf - inf
+            with np.errstate(invalid="ignore"):
+                if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                    break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _OutOfBudget:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return SimpleNamespace(x=sim[0], fun=np.min(fsim), nfev=nfev)
 
 
 def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
@@ -215,13 +292,7 @@ def precompensated_synthesize(h: TransferFunctionSISO, interval: UncertaintyInte
     for x0 in starts:
         obj.best = float("inf")
         obj.best_v = None
-        with warnings.catch_warnings():
-            # infeasible candidates return +inf; the simplex bookkeeping
-            # then hits inf - inf, which is expected here
-            warnings.simplefilter("ignore", RuntimeWarning)
-            minimize(obj, x0, method="Nelder-Mead",
-                     options={"maxfev": opts.max_evals, "xatol": 1e-10, "fatol": 1e-12,
-                              "disp": False})
+        minimize(obj, x0, opts.max_evals, xatol=1e-10, fatol=1e-12)
         if obj.best_v is not None:
             finalists.append(obj.best_v)
 

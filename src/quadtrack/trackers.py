@@ -7,12 +7,11 @@ emits the next query point, so the interconnection with the gradient
 oracle is well posed.
 """
 
-import warnings
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import minimize_scalar
 
 from .control_math import STABILITY_MARGIN, solve_dare
 from .errors import (
@@ -246,15 +245,82 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    with warnings.catch_warnings():
-        # +inf costs at an unstable bracket end make Brent's parabolic step compute inf - inf
-        warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"scipy\.optimize")
-        res = minimize_scalar(lambda mu: costs([mu])[0], bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-9})
-    mu = float(res.x)
-    if np.isfinite(res.fun) and res.fun <= values[best]:
-        return mu
+    mu, cost = _bounded_brent(lambda mu: costs([mu])[0], lo, hi, xatol=1e-9)
+    if np.isfinite(cost) and cost <= values[best]:
+        return float(mu)
     return float(grid[best])
+
+
+def _bounded_brent(func, a, b, xatol: float) -> tuple:
+    """Brent's minimization of func on [a, b] without derivatives.
+
+    A port of scipy 1.17's `minimize_scalar(method="bounded")` with its
+    500-evaluation cap: every step is the same float expression in the
+    same order, so it returns scipy's bits.  Returns (x, func(x)) of the
+    best point found.
+    """
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    # +inf costs at an unstable bracket end make the parabolic step compute inf - inf
+    with np.errstate(invalid="ignore"):
+        while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+            golden = True
+            if np.abs(e) > tol1:
+                # parabola through the three best points
+                r = (xf - nfc) * (fx - ffulc)
+                q = (xf - fulc) * (fx - fnfc)
+                p = (xf - fulc) * q - (xf - nfc) * r
+                q = 2.0 * (q - r)
+                if q > 0.0:
+                    p = -p
+                q = np.abs(q)
+                r = e
+                e = rat
+                if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                    golden = False
+                    rat = (p + 0.0) / q
+                    x = xf + rat
+                    if ((x - a) < tol2) or ((b - x) < tol2):
+                        rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            if golden:
+                e = a - xf if xf >= xm else b - xf
+                rat = golden_mean * e
+            x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+            fu = func(x)
+            num += 1
+            if fu <= fx:
+                if x >= xf:
+                    a = xf
+                else:
+                    b = xf
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = xf, fx
+                xf, fx = x, fu
+            else:
+                if x < xf:
+                    a = x
+                else:
+                    b = x
+                if (fu <= fnfc) or (nfc == xf):
+                    fulc, ffulc = nfc, fnfc
+                    nfc, fnfc = x, fu
+                elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                    fulc, ffulc = x, fu
+            xm = 0.5 * (a + b)
+            tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+            if num >= 500:
+                break
+    return xf, fx
 
 
 def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

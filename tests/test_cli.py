@@ -491,8 +491,8 @@ def test_seed_range_ends(tmp_path, capsys, seed, ok):
 
 def test_filter_tuning_leaves_stderr_empty(tmp_path):
     # the filter start's tuning meets +inf costs at its refinement bracket's
-    # end, where scipy's bounded search computes inf - inf; nothing of that
-    # may reach stderr
+    # end, where the bounded Brent search computes inf - inf, and the
+    # synthesis simplex holds +inf vertices; nothing of that may reach stderr
     doc = {
         "scenario": {"n": 10, "lambda_min": 1.0, "lambda_max": 3.5, "sigma": 1.0,
                      "d_stable": [0.950625, -1.95, 1.0], "j": 0.0, "g": [1.0, -1.0], "seed": 1},

@@ -62,3 +62,16 @@ def test_config_import_stays_light():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == ""
+
+
+def test_no_module_loads_scipy_optimize():
+    # every `tracker` command imports the whole CLI; the two searches are
+    # in-house ports, so none pays for scipy.optimize's import
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, quadtrack.cli; "
+            + "".join(f"import quadtrack.{name}; " for name in MODULES)
+            + "print('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

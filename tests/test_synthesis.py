@@ -1,7 +1,11 @@
 """Worst-case controller synthesis tests."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from quadtrack.control_math import chebyshev_grid
@@ -251,3 +255,91 @@ def test_objective_reuses_its_buffers_without_stale_values():
                 assert not np.shares_memory(obj.best_v, obj.mag)
                 assert not np.shares_memory(obj.best_v, v)
         assert kinds == {"feasible", "unstable", "non-finite"}
+
+
+@st.composite
+def simplex_problems(draw):
+    """A weighted quadratic in 1 to 6 variables that reads +inf past a
+    half-plane and outside a box around x0, from an x0 with zero entries;
+    a small box makes every probe off x0 infeasible, so the search shrinks
+    again and again."""
+    n = draw(st.integers(1, 6))
+
+    def vector(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    x0 = vector(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0))
+    centre = vector(st.floats(-2.0, 2.0))
+    weights = vector(st.floats(0.1, 3.0))
+    normal = vector(st.floats(-1.0, 1.0))
+    offset = draw(st.floats(-0.5, 3.0))
+    reach = draw(st.sampled_from([np.inf, 1.0, 1e-6]))
+
+    def fun(x):
+        if x @ normal > offset or np.max(np.abs(x - x0)) > reach:
+            return float("inf")
+        return float(np.sum(weights * (x - centre) ** 2))
+
+    return fun, x0, draw(st.integers(5, 400))
+
+
+def recorded(fun):
+    """fun, logging each point it is given; it then scribbles on the point,
+    which must not reach the simplex, since the search hands out copies."""
+    points = []
+
+    def f(x):
+        points.append(np.array(x))
+        value = fun(x)
+        x[:] = np.nan
+        return value
+
+    return f, points
+
+
+# two variables with every probe off x0 infeasible: 3 start evaluations,
+# then reflect, contract and 2 shrink evaluations per step, so a budget of
+# 4 k + 6 ends between the two shrink evaluations of step k + 1
+@example((lambda x: 0.0 if not x.any() else float("inf"), np.zeros(2), 14))
+@given(simplex_problems())
+def test_nelder_mead_evaluates_scipys_points_bit_for_bit(problem):
+    """The in-house search against the installed scipy: the same points,
+    in the same order, to the bit, and the same result."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    from quadtrack.synthesis import minimize
+
+    fun, x0, budget = problem
+    ours, ours_points = recorded(fun)
+    theirs, theirs_points = recorded(fun)
+    res = minimize(ours, x0, budget, xatol=1e-10, fatol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = scipy_minimize(theirs, x0, method="Nelder-Mead",
+                             options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-12})
+    assert len(ours_points) == len(theirs_points) == res.nfev == ref.nfev
+    assert all(np.array_equal(a, b) for a, b in zip(ours_points, theirs_points))
+    assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
+
+
+def test_synthesis_replays_scipys_search(monkeypatch):
+    """The whole synthesis, with scipy's Nelder-Mead swapped in for the
+    in-house one, certifies the same controller to the bit."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    from quadtrack import synthesis
+
+    h = ss_to_tf(unstable_model(j=1.85))
+    interval = UncertaintyInterval(2.0, 3.3)
+    opts = SynthesisOptions(starts=3, max_evals=200, grid_points=9, seed=1)
+    ours = controller_to_dict(precompensated_synthesize(h, interval, opts))
+
+    def scipy_search(fun, x0, maxfev, xatol, fatol):
+        return scipy_minimize(fun, x0, method="Nelder-Mead",
+                              options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+
+    monkeypatch.setattr(synthesis, "minimize", scipy_search)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        theirs = controller_to_dict(precompensated_synthesize(h, interval, opts))
+    assert ours == theirs

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from quadtrack.errors import (
@@ -310,6 +312,35 @@ def test_mu_star_search_validates_inputs():
         mu_star_search(model, 1.0, [1.0, -1.0])
     with pytest.raises(InvalidBounds):
         mu_star_search(model, 0.0, [1.0])
+
+
+# a bowl flat to 1e-3 around its centre: ties put the parabola's vertex on
+# the best point, a zero step that the search must still move off
+@example(0.0, 0.5, 0.0, 0.5, "none", True, 1e-5)
+@given(st.floats(-2.0, 2.0), st.floats(1e-6, 3.0), st.floats(0.0, 1.0), st.floats(-0.5, 1.5),
+       st.sampled_from(["low", "high", "none"]), st.booleans(), st.sampled_from([1e-9, 1e-5]))
+def test_bounded_brent_returns_scipys_bits(lo, width, cut, centre, wall, flat, xatol):
+    """The in-house bounded search against the installed scipy on a quartic
+    bowl, rounded to steps or not, that reads +inf past a point of the
+    bracket at one end: the same x and f to the bit."""
+    from scipy.optimize import minimize_scalar
+
+    from quadtrack.trackers import _bounded_brent
+
+    hi = lo + width
+    cut, centre = lo + cut * width, lo + centre * width
+
+    def f(x):
+        if (wall == "low" and x < cut) or (wall == "high" and x > cut):
+            return float("inf")
+        bowl = float((x - centre) ** 2 + 0.1 * (x - centre) ** 4)
+        return round(bowl, 3) if flat else bowl
+
+    x, fx = _bounded_brent(f, lo, hi, xatol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert float(x) == float(ref.x) and float(fx) == float(ref.fun)
 
 
 # ----------------------------------------------------------- factorization
