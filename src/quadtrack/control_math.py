@@ -5,7 +5,6 @@ coefficient arrays in ascending powers, `p[k]` multiplying ``z**k``.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotConverged, SingularInnovation
 
@@ -13,7 +12,6 @@ __all__ = [
     "STABILITY_MARGIN",
     "RngStream",
     "solve_discrete_lyapunov",
-    "solve_discrete_lyapunov_stack",
     "solve_dare",
     "spectral_radius",
     "polynomial_roots",
@@ -76,7 +74,10 @@ def spectral_radius(a) -> float:
 
 
 def solve_discrete_lyapunov(a, q) -> np.ndarray:
-    """Solve ``A P A^T + Q - P = 0`` for symmetric P: the one-slice stack.
+    """Solve ``A P A^T + Q - P = 0`` for symmetric P.
+
+    The direct method: one `np.linalg.solve` of the Kronecker system
+    (I - a (x) a) vec(P) = vec(Q), then symmetrization.
 
     Parameters
     ----------
@@ -85,63 +86,32 @@ def solve_discrete_lyapunov(a, q) -> np.ndarray:
 
     Returns
     -------
-    P : (m, m) symmetric array with relative residual at most 1e-10;
-        NotConverged where `solve_discrete_lyapunov_stack` flags the slice.
+    P : (m, m) symmetric array with relative residual at most 1e-10.
+
+    Raises
+    ------
+    NotConverged
+        If the spectral radius is not below the margin, or the solve fails
+        or leaves a residual above 1e-10.
     """
     a = _square(a, "a")
     q = _square(q, "q")
     if a.shape != q.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {q.shape}")
-    p, ok = solve_discrete_lyapunov_stack(a[None], q)
-    if not ok[0]:
-        raise NotConverged("spectral radius not below the margin, or lyapunov residual above 1e-10")
-    return p[0]
-
-
-def solve_discrete_lyapunov_stack(a, q) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``A P A^T + Q - P = 0`` for every slice of a stack a, one shared q.
-
-    scipy's direct method in stacked form: the Kronecker system
-    I - a (x) a, one stacked `scipy.linalg.solve` (its slices give the bits
-    of a per-matrix call; a 1 x 1 system is a division, as scipy does it),
-    then symmetrization.  Returns (P, ok); ok[i] holds where the spectral
-    radius of a[i] is below 1 - STABILITY_MARGIN and the relative residual
-    of P[i] is at most 1e-10, and is false for every slice when the
-    eigenvalue call or the solve fails.  An ill-conditioned slice makes
-    scipy warn, and its residual decides.
-
-    Parameters
-    ----------
-    a : (N, m, m) array.
-    q : (m, m) symmetric array.
-    """
-    a = np.asarray(a, dtype=float)
-    n, m = a.shape[0], a.shape[1]
-    p = np.zeros((n, m, m))
-    failed = (p, np.zeros(n, dtype=bool))
+    if spectral_radius(a) >= 1.0 - STABILITY_MARGIN:
+        raise NotConverged("spectral radius not below the margin")
+    m = a.shape[0]
     try:
-        ok = np.max(np.abs(np.linalg.eigvals(a)), axis=-1) < 1.0 - STABILITY_MARGIN
-    except np.linalg.LinAlgError:
-        return failed
-    idx = np.flatnonzero(ok)
-    a = a[idx]
-    kron = a[:, :, None, :, None] * a[:, None, :, None, :]  # kron(a_i, a_i) per slice
-    lhs = np.eye(m * m) - kron.reshape(-1, m * m, m * m)
-    rhs = np.tile(q.reshape(m * m, 1), (idx.size, 1, 1))
-    if m == 1:
-        x = rhs / lhs
-    else:
-        try:
-            x = scipy.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            return failed
-    x = x.reshape(-1, m, m)
-    x = 0.5 * (x + x.transpose(0, 2, 1))
-    res = np.linalg.norm(a @ x @ a.transpose(0, 2, 1) + q - x, axis=(1, 2))
-    scale = np.maximum(np.maximum(1.0, np.linalg.norm(x, axis=(1, 2))), np.linalg.norm(q, "fro"))
-    p[idx] = x
-    ok[idx] = np.isfinite(res) & (res <= 1e-10 * scale)
-    return p, ok
+        x = np.linalg.solve(np.eye(m * m) - np.kron(a, a), q.reshape(m * m))
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged(f"lyapunov solve failed: {exc}") from exc
+    x = x.reshape(m, m)
+    x = 0.5 * (x + x.T)
+    res = np.linalg.norm(a @ x @ a.T + q - x, "fro")
+    scale = max(1.0, np.linalg.norm(x, "fro"), np.linalg.norm(q, "fro"))
+    if not np.isfinite(res) or res > 1e-10 * scale:
+        raise NotConverged(f"lyapunov residual {res:.3e} above tolerance")
+    return x
 
 
 def _dare_rhs(p, f, g, h, j, sigma2):
@@ -155,23 +125,18 @@ def _dare_rhs(p, f, g, h, j, sigma2):
 
 
 def _transmission_zeros(f, g, h, j) -> np.ndarray:
-    """Finite zeros of ``h (zI - f)^-1 g + j`` via the system-matrix pencil.
+    """Finite zeros of ``h (zI - f)^-1 g + j``.
 
-    Generalized eigenvalues of ([[F, G], [H, j]], diag(I, 0)); the pencil
-    determinant is proportional to the transfer numerator, so the finite
-    eigenvalues are exactly its roots.  Zeros beyond modulus 1e8 are
-    indistinguishable from the pencil's infinite eigenvalues at working
-    precision and are treated as such.
+    With j != 0 they are the eigenvalues of f - g h / j.  With j = 0 they
+    are the roots of the numerator det(zI - f + g h) - det(zI - f); its
+    leading coefficient cancels exactly, and `np.roots` strips such exact
+    leading zeros.  Zeros beyond modulus 1e8 are indistinguishable from
+    infinite ones at working precision and are treated as such.
     """
-    m = f.shape[0]
-    a = np.zeros((m + 1, m + 1))
-    a[:m, :m] = f
-    a[:m, m] = g
-    a[m, :m] = h
-    a[m, m] = j
-    b = np.eye(m + 1)
-    b[m, m] = 0.0
-    w = scipy.linalg.eigvals(a, b)
+    if j != 0.0:
+        w = np.linalg.eigvals(f - np.outer(g, h) / j)
+    else:
+        w = np.roots(np.poly(f - np.outer(g, h)) - np.poly(f))
     w = w[np.isfinite(w)]
     return w[np.abs(w) <= 1e8]
 
@@ -224,7 +189,7 @@ def _dare_spectral_candidate(f, g, h, j, sigma2):
         refl[outside] = 1.0 / np.conj(refl[outside])
         poles = np.concatenate([refl, np.zeros(m - refl.size)])
         k = _output_injection_gain(f, h, poles)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, NotConverged):
+    except (np.linalg.LinAlgError, NotConverged):
         return None
     a_cl = f - np.outer(k, h)
     q_noise = sigma2 * np.outer(g - j * k, g - j * k)

@@ -10,7 +10,7 @@ one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 `loop_stable` answers "is the error loop stable?" for a whole batch of
 curvatures at once.  Every summed H2 cost comes from one kernel,
 `loop_h2_stack`, over a whole (controllers x curvatures) grid, and every
-squared H2 norm from one stacked Gramian step, `_gramian_h2`, whose
+squared H2 norm from one stacked Astrom-Jury table, `_h2_table`, whose
 one-row case is `h2_norm_sq_exact`.  The kernel factors each loop once,
 for the row flags; for the filter tracker, whose controller shares the
 signal model's denominator, its stacked cells read those roots and the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .control_math import STABILITY_MARGIN, polynomial_roots, solve_discrete_lyapunov_stack
+from .control_math import STABILITY_MARGIN, polynomial_roots
 from .errors import AlgebraicLoop, DimensionMismatch, NotConverged
 
 __all__ = [
@@ -398,37 +398,45 @@ def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
     return bool(loop_stable(h, c, [lam])[0])
 
 
-def _gramian_h2(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
-    """jw**2 + ||sp[i] / loops[i]||_2^2 per row, via the controllability Gramian.
+def _h2_table(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
+    """jw**2 + ||sp[i] / loops[i]||_2^2 per row, by the Astrom-Jury table.
 
     loops: (N, q + 1) monic ascending denominators, q >= 1; sp: (N, k <= q)
-    ascending numerators.  Each row is realized as `tf_to_ss` does, its
-    Gramian driven by e_1 e_1^T comes from one `solve_discrete_lyapunov_stack`
-    call, and the value is clamped at 0.  Returns (values, ok), ok the
-    solver's flags.
+    ascending numerators.  The recursion of Astrom, Jury and Agniel (IEEE
+    TAC 15(4), 1970) reduces both polynomials, written descending, one
+    degree per step, q vector steps for the whole stack.  A loop is stable
+    exactly when every leading coefficient of the table stays positive;
+    ok is false where one does not, and that row's value is meaningless.
+    Returns (values, ok).
     """
     n, q = loops.shape[0], loops.shape[1] - 1
-    f = np.zeros((n, q, q))
-    f[:, 0, :] = -loops[:, -2::-1]
-    f[:, 1:, :-1] = np.eye(q - 1)
-    drive = np.zeros((q, q))
-    drive[0, 0] = 1.0
-    sigma, ok = solve_discrete_lyapunov_stack(f, drive)
-    b = np.zeros((n, q))
-    b[:, : sp.shape[1]] = sp
-    # the reversed view `tf_to_ss` makes: numpy multiplies a contiguous
-    # copy through another routine, which moves the last bit
-    out = b[:, ::-1]
-    val = jw ** 2 + (out[:, None, :] @ sigma @ out[:, :, None])[:, 0, 0]
-    return np.where(val < 0.0, 0.0, val), ok
+    a = loops[:, ::-1].copy()
+    b = np.zeros((n, q + 1))
+    b[:, q + 1 - sp.shape[1]:] = sp[:, ::-1]
+    total = np.zeros(n)
+    ok = np.ones(n, dtype=bool)
+    # a row that fails the sign test may divide by zero or overflow later on
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(q, 0, -1):
+            a0 = a[:, 0]
+            alpha = a[:, k] / a0
+            beta = b[:, k] / a0
+            total += a0 * beta * beta
+            rev = a[:, k:0:-1]
+            b[:, :k] -= beta[:, None] * rev
+            a[:, :k] -= alpha[:, None] * rev
+            ok &= a[:, 0] > 0.0
+        val = jw ** 2 + total + b[:, 0] ** 2 / a[:, 0]
+    return val, ok
 
 
 def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
-    """Squared H2 norm via the controllability Gramian.
+    """Squared H2 norm by the Astrom-Jury table.
 
     Returns +inf when any pole has modulus >= 1 - control_math.STABILITY_MARGIN.
-    For w = j_w + strictly proper part, the value is `_gramian_h2` of
-    that part.  Raises NotConverged where its Lyapunov solve fails.
+    For w = j_w + strictly proper part, the value is `_h2_table` of that
+    part.  Raises NotConverged where the table finds the denominator not
+    stable to working precision.
     """
     if w.is_zero:
         return 0.0
@@ -442,9 +450,9 @@ def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
     sp_num = _trim(npoly.polysub(w.num, jw * w.den))
     if TransferFunctionSISO._is_zero_poly(sp_num):
         return float(jw ** 2)
-    val, ok = _gramian_h2(w.den[None], sp_num[None], jw)
+    val, ok = _h2_table(w.den[None], sp_num[None], jw)
     if not ok[0]:
-        raise NotConverged("lyapunov solve of the H2 Gramian failed")
+        raise NotConverged("H2 table: denominator not stable to working precision")
     return float(val[0])
 
 
@@ -502,11 +510,6 @@ def hinf_norm(w: TransferFunctionSISO) -> float:
     return max(float(mags[k]), refined)
 
 
-# Cells per chunk of `loop_h2_stack`, scaled so that a chunk's Kronecker
-# systems hold about this many numbers (128 kB); bounds the kernel's memory.
-_STACK_ENTRIES = 2 ** 14
-
-
 def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray, lams: np.ndarray,
               roots: np.ndarray, num_roots: np.ndarray) -> tuple:
     """`h2_norm_sq_exact(closed_loop_error_tf(h, nums[i] / den, lams[i]))` per cell, stacked.
@@ -516,9 +519,9 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray, lams: 
     loop (all inside the margin) and num_roots those of -n_h.  Returns
     (values, ok); ok is false where a special case of the scalar routines
     applies or may apply (a root pair within reach of `CANCEL_TOL`, a
-    strictly proper part `_trim` would shorten, a Lyapunov solve that
-    fails its checks), and such a cell's value must come from the scalar
-    routines.  The leading 1 is never `_trim`med: each loop is monic of
+    strictly proper part `_trim` would shorten, a table that finds the
+    loop not stable to working precision), and such a cell's value must
+    come from the scalar routines.  The leading 1 is never `_trim`med: each loop is monic of
     degree q with all roots inside the unit circle, so its coefficients
     are below the binomials C(q, k) <= 2^q, and below 1e14 up to q = 49.
     """
@@ -535,7 +538,7 @@ def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray, lams: 
         # differently by an ulp: twice the tolerance leaves the margin
         gaps = np.abs(roots[:, :, None] - num_roots[None, None, :])
         ok &= np.min(gaps, axis=(1, 2)) > 2.0 * CANCEL_TOL
-    vals, solved = _gramian_h2(loops, sp, jw)
+    vals, solved = _h2_table(loops, sp, jw)
     return vals, ok & solved
 
 
@@ -549,8 +552,8 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     otherwise the whole row reads +inf, the rule of a summed tracking
     cost.  One `_loop_roots` call factors every loop for the row flags.
     When the controllers share the signal model's denominator (the filter
-    tracker), the stable rows' cells go to `_h2_cells` in chunks of
-    bounded size, with those roots and the controllers' own coefficients.
+    tracker), the stable rows' cells go to `_h2_cells` in one call, with
+    those roots and the controllers' own coefficients.
     Every other cell, and every cell `_h2_cells` refuses, goes to the
     scalar routines, which raise `NotConverged` where they always did.
 
@@ -577,12 +580,9 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     scalar = np.ones(rows.size, dtype=bool)
     if q > 0 and _shares_den(h, c_den):
         num_roots = polynomial_roots(-h.num) if h.num.size > 1 else np.zeros(0)
-        chunk = max(1, _STACK_ENTRIES // q ** 4)
-        for start in range(0, rows.size, chunk):
-            r, k = rows[start:start + chunk], cols[start:start + chunk]
-            vals, ok = _h2_cells(h, c_den, padded[r], lams[k], roots[r, k], num_roots)
-            h2_sq[r[ok], k[ok]] = vals[ok]
-            scalar[start:start + chunk] = ~ok
+        vals, ok = _h2_cells(h, c_den, padded[rows], lams[cols], roots[rows, cols], num_roots)
+        h2_sq[rows[ok], cols[ok]] = vals[ok]
+        scalar = ~ok
     for i, k in zip(rows[scalar], cols[scalar]):
         h2_sq[i, k] = h2_norm_sq_exact(closed_loop_error_tf(h, cs[i], float(lams[k])))
     return h2_sq

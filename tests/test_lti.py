@@ -1,8 +1,8 @@
 """Transfer-function and state-space machinery tests."""
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -28,7 +28,7 @@ from quadtrack.lti import (
     ss_to_tf,
     tf_to_ss,
 )
-from quadtrack.lti import _h2_cells, _loop_char, _loop_roots, _match_roots
+from quadtrack.lti import _h2_cells, _h2_table, _loop_char, _loop_roots, _match_roots
 
 
 def random_stable_tf(rng, max_deg=6, max_radius=0.95):
@@ -440,28 +440,119 @@ def test_h2_unstable_is_infinite():
     assert hinf_norm(resonant) == float("inf")
 
 
-def test_h2_exact_keeps_the_bits_of_the_realization_and_scipy_solve():
-    # the shared Gramian step must give, bit for bit, the route it replaced:
-    # `tf_to_ss` of the strictly proper part, scipy's direct Lyapunov solve
-    # (symmetrized), H Sigma H^T plus the squared feedthrough, clamped at 0
-    rng = np.random.default_rng(37)
-    for _ in range(300):  # degrees 1 to 10, poles up to 0.995
-        den = random_stable_tf(rng, max_deg=10, max_radius=0.995).den
-        deg = den.size - 1
-        w = TransferFunctionSISO(rng.standard_normal(int(rng.integers(1, deg + 2))), den,
-                                 cancel=False)
-        jw = w.num[deg] if w.num.size == deg + 1 else 0.0
-        sp = TransferFunctionSISO(npoly.polysub(w.num, jw * w.den), w.den, cancel=False)
-        ss = tf_to_ss(sp)
-        sigma = scipy.linalg.solve_discrete_lyapunov(ss.F, np.outer(ss.G, ss.G), method="direct")
-        sigma = 0.5 * (sigma + sigma.T)
-        assert h2_norm_sq_exact(w) == max(float(jw ** 2 + ss.H @ sigma @ ss.H), 0.0)
+def mp_h2_table(den, num):
+    """The Astrom-Jury table in mpmath at the working precision: den and
+    num descending lists of mpf, den[0] > 0, len(num) == len(den); None
+    where the table finds den unstable."""
+    q = len(den) - 1
+    jw = num[0] / den[0]
+    a, b = list(den), [bi - jw * ai for bi, ai in zip(num, den)]
+    total = jw ** 2 * den[0]
+    for k in range(q, 0, -1):
+        alpha, beta = a[k] / a[0], b[k] / a[0]
+        total += a[0] * beta ** 2
+        old = list(a)
+        for i in range(k):
+            a[i] -= alpha * old[k - i]
+            b[i] -= beta * old[k - i]
+        if a[0] <= 0:
+            return None
+    return (total + b[0] ** 2 / a[0]) / den[0]
 
 
-@pytest.mark.xfail(reason="known defect, CHANGES.md FOUND line on `lti.h2_norm_sq_exact`: "
-                          "the Kronecker solve is off by 1.1e-4 relative on this ill-conditioned "
-                          "TF and only scipy's LinAlgWarning says so; a fix changes bits")
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def h2_reference(w):
+    """(exact, kappa) for w: its squared H2 norm in 60 digits on the exact
+    binary values of its coefficients (None where unstable), and the
+    componentwise relative condition number of that value, the sum over
+    coefficients c of |c dJ/dc| / J.  A rounding of every coefficient moves
+    J by about eps * kappa relative, so no float routine does much better."""
+    with mpmath.workdps(60):
+        den = [mpmath.mpf(float(c)) for c in w.den[::-1]]
+        num = [mpmath.mpf(0)] * (w.den.size - w.num.size) + [
+            mpmath.mpf(float(c)) for c in w.num[::-1]]
+        exact = mp_h2_table(den, num)
+        if not exact:
+            return exact, 0.0
+        step, kappa = mpmath.mpf("1e-30"), mpmath.mpf(0)
+        for coeffs in (den, num):
+            for i, c in enumerate(coeffs):
+                coeffs[i] = c * (1 + step)
+                kappa += abs(mp_h2_table(den, num) - exact)
+                coeffs[i] = c
+        return float(exact), float(kappa / (step * exact))
+
+
+@st.composite
+def stable_tfs(draw, near_margin=False):
+    """Proper w of degree 1 to 10, poles inside 0.999; with near_margin, a
+    real pole or a pole pair at 1 - 10**-u, u in [3, 10], joins them."""
+    poles = []
+    degree = draw(st.integers(0, 8) if near_margin else st.integers(1, 10))
+    while len(poles) < degree:
+        if len(poles) == degree - 1 or draw(st.booleans()):
+            poles.append(complex(draw(st.floats(-0.999, 0.999))))
+        else:
+            r, th = draw(st.floats(0.05, 0.999)), draw(st.floats(0.0, np.pi))
+            poles += [r * np.exp(1j * th), r * np.exp(-1j * th)]
+    if near_margin:
+        r = 1.0 - 10.0 ** -draw(st.floats(3.0, 10.0))
+        th = draw(st.sampled_from([0.0, np.pi, draw(st.floats(0.01, np.pi - 0.01))]))
+        poles += [r * np.exp(1j * th), r * np.exp(-1j * th)] if 0.0 < th < np.pi else [
+            r * np.cos(th)]
+    den = npoly.polyfromroots(np.asarray(poles, dtype=complex)).real
+    size = draw(st.integers(1, den.size))
+    num = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+    assume(max(map(abs, num)) > 1e-6)  # no underflow in J
+    return TransferFunctionSISO(num, den, cancel=False)
+
+
+def assert_within_condition(value, w):
+    # the table is right to within a fixed multiple of what rounding the
+    # coefficients does.  Over 8000 random draws of the two strategies the
+    # error reached 2.1e3 eps * kappa (clustered poles near the circle,
+    # kappa up to 7e10), and 1e-12 relative where kappa is small
+    exact, kappa = h2_reference(w)
+    assert exact is not None
+    assert abs(value - exact) <= (1e-12 + 1e4 * 2.0 ** -52 * kappa) * exact
+
+
+@given(stable_tfs())
+def test_h2_exact_matches_the_60_digit_table(w):
+    assume(np.max(np.abs(polynomial_roots(w.den))) < 1.0 - STABILITY_MARGIN)
+    assert_within_condition(h2_norm_sq_exact(w), w)
+
+
+@given(stable_tfs(near_margin=True))
+def test_h2_exact_near_the_margin_is_right_or_refuses(w):
+    # +inf for a pole within the margin, a refusal, or the right value
+    try:
+        value = h2_norm_sq_exact(w)
+    except NotConverged:
+        return
+    if value == float("inf"):
+        assert np.max(np.abs(polynomial_roots(w.den))) >= 1.0 - STABILITY_MARGIN
+        return
+    assert_within_condition(value, w)
+
+
+def test_h2_table_refuses_a_loop_that_is_not_stable():
+    # (z - 1)(z - c), c = 1 - 2.66e-9, whose coefficients are exact in
+    # binary: the companion eigenvalues put both roots inside the margin,
+    # but the root at 1 makes a leading coefficient of the table vanish, so
+    # the value is refused rather than made up
+    c = 0.999999997335387
+    w = TransferFunctionSISO([1.0], [c, -1.0 - c, 1.0], cancel=False)
+    assert np.max(np.abs(polynomial_roots(w.den))) < 1.0 - STABILITY_MARGIN
+    assert h2_reference(w)[0] is None
+    with pytest.raises(NotConverged):
+        h2_norm_sq_exact(w)
+    # the stacked table flags that row, and an unstable one, on their own
+    loops = np.array([w.den, [-0.25, 0.0, 1.0], [0.5, -1.5, 1.0]])
+    vals, ok = _h2_table(loops, np.ones((3, 1)), 0.0)
+    assert ok.tolist() == [False, True, False]
+    assert vals[1] == pytest.approx(1.0 / (1.0 - 0.25 ** 2), rel=1e-15)
+
+
 def test_h2_exact_is_right_or_refuses_on_an_ill_conditioned_tf():
     # poles up to 0.946; a 2^20-point circle mean gives 139719925612.5 and a
     # 200 000-term impulse sum 139719925617.1

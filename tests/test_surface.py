@@ -3,6 +3,7 @@ name the README gives resolves, and the config layer imports without the heavy l
 
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import pkgutil
@@ -64,14 +65,32 @@ def test_config_import_stays_light():
     assert done.stdout.strip() == ""
 
 
-def test_no_module_loads_scipy_optimize():
+def test_no_module_loads_scipy_optimize(tmp_path):
     # every `tracker` command imports the whole CLI; the two searches are
-    # in-house ports, so none pays for scipy.optimize's import
+    # in-house ports and the DARE and H2 kernels are numpy only, so no
+    # command loads any part of scipy, on import or while it runs
+    run = {"scenario": {"n": 1, "lambda_max": 2.0, "sigma": 1.0, "d_stable": [-0.5, 1.0],
+                        "j": 0.5, "seed": 2},
+           "trackers": {"use": ["gd", "kalman"]},
+           "run": {"horizon": 100, "window": 5},
+           "output": {"dir": str(tmp_path), "name": "t.csv"}}
+    synth = {"scenario": {"n": 2, "lambda_min": 1.0, "lambda_max": 1.5, "sigma": 1.0,
+                          "d_stable": [0.25, -1.0, 1.0], "j": 0.0, "seed": 4},
+             "trackers": {"hinf_grid": 5, "synthesis_starts": 1, "synthesis_max_evals": 20},
+             "run": {"horizon": 100}}
+    (tmp_path / "run.json").write_text(json.dumps(run), encoding="utf-8")
+    (tmp_path / "synth.json").write_text(json.dumps(synth), encoding="utf-8")
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
     code = ("import sys, quadtrack.cli; "
             + "".join(f"import quadtrack.{name}; " for name in MODULES)
-            + "print('scipy.optimize' in sys.modules)")
+            + "print('scipy.optimize' in sys.modules); " + loaded
+            + "assert quadtrack.cli.main(['run', '--config', 'run.json']) == 0; "
+            + "assert quadtrack.cli.main(['synthesize', '--config', 'synth.json', "
+            + "'--out', 'c.json']) == 0; " + loaded)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1] == "[]" and lines[-1] == "[]"
