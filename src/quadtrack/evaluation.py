@@ -12,8 +12,12 @@ go through one kernel.  It builds the joint signal/tracker state-space
 system from the realizations, the Hessian and the eigenbasis (never from
 a transfer function, so it checks the analytic algebra independently),
 and lifts it to blocks of L steps, so each block of errors is two
-matrix products.  Reps run in order, each on its own pre-assigned RNG
-stream, so the numbers are bit-identical from run to run.
+matrix products.  The noise is drawn in chunks of _CHUNK_BLOCKS blocks,
+and each chunk drives every tracker's loop, each from its own state,
+before the next is drawn; so the trackers of a trace share one path and,
+apart from the output, memory does not grow with the horizon.  Reps run
+in order, each on its own pre-assigned RNG stream, so the numbers are
+bit-identical from run to run.
 """
 
 import math
@@ -32,7 +36,7 @@ from .lti import (
     loop_stable,
     ss_to_tf,
 )
-from .scenario import QuadraticScenario, draw_noise
+from .scenario import QuadraticScenario, noise_chunks
 from .trackers import UncertaintyInterval, make_kalman_tracker
 
 __all__ = [
@@ -87,8 +91,8 @@ def robust_cost(h: TransferFunctionSISO, c: TransferFunctionSISO,
 # this width runs no faster on n = 10 and touches about 1.3 MB more of
 # the BLAS packing buffers, which shows in the peak RSS.
 _BLOCK_WIDTH = 160
-# Blocks per matmul chunk, so the per-chunk temporaries stay a few hundred
-# kB whatever the horizon.
+# Blocks per noise chunk, so the noise and the per-chunk temporaries stay
+# a few hundred kB whatever the horizon.
 _CHUNK_BLOCKS = 128
 
 
@@ -151,37 +155,34 @@ def _lift(scenario: QuadraticScenario, ctrl) -> _LiftedLoop:
                        np.linalg.matrix_power(phi, block), np.hstack(pow_gammas[::-1]))
 
 
-def _squared_errors(loop: _LiftedLoop, noise: np.ndarray, out: np.ndarray) -> None:
-    """Write |e_k|^2 into out for the loop driven by noise from a zero state.
+def _squared_errors(loop: _LiftedLoop, z: np.ndarray, noise: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """Write |e_k|^2 of one noise chunk into out; return the state after it.
 
-    noise holds w_k in row k; the error e_k = x_k - c_k is the one taken
-    before the step that consumes the gradient A e_k.  Blocks run in
-    chunks of _CHUNK_BLOCKS: one matmul each for the state drive and the
-    errors, and a short loop over blocks for the state recursion.
+    z is the joint state before the chunk's first step, noise holds w_k
+    in row k, and the error e_k = x_k - c_k is the one taken before the
+    step that consumes the gradient A e_k.  A chunk holds whole blocks,
+    except the last chunk of a path: one matmul each for the state drive
+    and the errors, a short loop over blocks for the state recursion, and
+    the leading rows of the lifted matrices for a short final block.
     """
     n = noise.shape[1]
-    width = loop.block * n
-    flat = noise.reshape(-1)
-    z = np.zeros(loop.phi_l.shape[0])
-    for lo in range(0, flat.size, _CHUNK_BLOCKS * width):
-        w = flat[lo:lo + _CHUNK_BLOCKS * width]
-        full = w.size - w.size % width
-        blocks = w[:full].reshape(-1, width)
-        starts = np.empty((blocks.shape[0], z.size))
-        for b, drive in enumerate(blocks @ loop.reach.T):
-            starts[b] = z
-            z = loop.phi_l @ z + drive
-        e = starts @ loop.obs.T
-        e += blocks @ loop.markov.T
+    full = noise.shape[0] - noise.shape[0] % loop.block
+    blocks = noise[:full].reshape(-1, loop.block * n)
+    starts = np.empty((blocks.shape[0], z.size))
+    for b, drive in enumerate(blocks @ loop.reach.T):
+        starts[b] = z
+        z = loop.phi_l @ z + drive
+    e = starts @ loop.obs.T
+    e += blocks @ loop.markov.T
+    e = e.reshape(-1, n)
+    out[:full] = np.einsum("ij,ij->i", e, e)
+    if full < noise.shape[0]:
+        tail = noise[full:].reshape(-1)
+        e = loop.obs[:tail.size] @ z + loop.markov[:tail.size, :tail.size] @ tail
         e = e.reshape(-1, n)
-        step = lo // n
-        out[step:step + e.shape[0]] = np.einsum("ij,ij->i", e, e)
-        if full < w.size:
-            # short final block: the leading rows of the lifted matrices
-            tail = w[full:]
-            e = loop.obs[:tail.size] @ z + loop.markov[:tail.size, :tail.size] @ tail
-            e = e.reshape(-1, n)
-            out[step + blocks.shape[0] * loop.block:] = np.einsum("ij,ij->i", e, e)
+        out[full:] = np.einsum("ij,ij->i", e, e)
+    return z
 
 
 def empirical_cost(scenario: QuadraticScenario, ctrl, horizon: int,
@@ -191,20 +192,35 @@ def empirical_cost(scenario: QuadraticScenario, ctrl, horizon: int,
     Rep r consumes the stream rng.split(r), so reps are independent and
     the result does not depend on execution order.  Each rep simulates
     the closed loop on a fresh minimizer path from a zero joint state and
-    time-averages |e_k|^2 over k in [burnin, horizon).
+    time-averages |e_k|^2 over k in [burnin, horizon).  The path is drawn
+    and simulated chunk by chunk, so memory does not grow with the horizon.
     """
     if not 0 <= burnin < horizon:
         raise InvalidBounds(f"need 0 <= burnin < horizon, got {burnin}, {horizon}")
     if reps < 1:
         raise InvalidBounds("reps must be at least 1")
     loop = _lift(scenario, ctrl)
-    row = np.empty(horizon)
+    rows = _CHUNK_BLOCKS * loop.block
+    # a chunk's squared errors go to buf[1:]; the slot just before the
+    # first one summed takes the running sum of the earlier chunks
+    buf = np.empty(rows + 1)
     means = []
     for r in range(reps):
-        noise = draw_noise(scenario.n, horizon, scenario.sigma, rng.split(r))
-        _squared_errors(loop, noise, row)
-        # builtin sum adds left to right; np.sum would pair the terms up
-        means.append(float(sum(row[burnin:])) / (horizon - burnin))
+        z = np.zeros(loop.phi_l.shape[0])
+        acc = 0.0
+        lo = 0
+        for noise in noise_chunks(scenario.n, horizon, scenario.sigma, rng.split(r), rows):
+            size = noise.shape[0]
+            z = _squared_errors(loop, z, noise, buf[1:size + 1])
+            skip = max(0, burnin - lo)
+            if skip < size:
+                # strictly left to right, one running sum over the whole
+                # path: np.sum pairs the terms up, and from Python 3.12 the
+                # builtin sum over floats is compensated
+                buf[skip] = acc
+                acc = np.cumsum(buf[skip:size + 1])[-1]
+            lo += size
+        means.append(float(acc) / (horizon - burnin))
     mean = float(np.mean(means))
     if reps == 1:
         return mean, 0.0
@@ -218,15 +234,24 @@ def error_trace(scenario: QuadraticScenario, ctrls, horizon: int,
 
     Common noise makes the traces directly comparable.  Returns the (len(ctrls),
     horizon) array of per-step error norms |e_k|; no noise is drawn without ctrls.
+    Each noise chunk drives every tracker's loop before the next is drawn,
+    so besides the output, memory does not grow with the horizon.
     """
     if horizon < 1:
         raise InvalidBounds("horizon must be at least 1")
     sq = np.empty((len(ctrls), horizon))
     if not ctrls:
         return sq
-    noise = draw_noise(scenario.n, horizon, scenario.sigma, rng)
-    for row, ctrl in zip(sq, ctrls):
-        _squared_errors(_lift(scenario, ctrl), noise, row)
+    loops = [_lift(scenario, ctrl) for ctrl in ctrls]
+    states = [np.zeros(loop.phi_l.shape[0]) for loop in loops]
+    lo = 0
+    # every loop has the same block length, as it depends on n only
+    rows = _CHUNK_BLOCKS * loops[0].block
+    for noise in noise_chunks(scenario.n, horizon, scenario.sigma, rng, rows):
+        hi = lo + noise.shape[0]
+        for i, loop in enumerate(loops):
+            states[i] = _squared_errors(loop, states[i], noise, sq[i, lo:hi])
+        lo = hi
     return np.sqrt(sq, out=sq)
 
 
@@ -235,10 +260,13 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     if window < 1:
         raise InvalidBounds("window must be at least 1")
     cs = np.concatenate([[0.0], np.cumsum(values)])
-    k = np.arange(values.size)
-    lo = np.maximum(0, k - window + 1)
-    out = (cs[k + 1] - cs[lo]) / (k + 1 - lo)
-    return np.maximum(out, 0.0)
+    size = values.size
+    head = min(window, size)
+    out = np.empty(size)
+    # the first `head` means cover every sample so far, the rest `window`
+    out[:head] = (cs[1:head + 1] - cs[0]) / np.arange(1, head + 1)
+    out[head:] = (cs[head + 1:] - cs[1:size + 1 - head]) / window
+    return np.maximum(out, 0.0, out=out)
 
 
 def mismatch_curve(model: StateSpaceSISO, sigma2: float, lam: float,

@@ -15,7 +15,7 @@ stream index          purpose
 ====================  =======================================
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "MinimizerTrajectory",
     "draw_spectrum",
     "draw_noise",
+    "noise_chunks",
     "simulate_minimizer",
     "make_scenario",
     "STREAM_SPECTRUM",
@@ -61,20 +62,36 @@ class MinimizerTrajectory:
     values: np.ndarray
 
 
-def draw_noise(n: int, horizon: int, sigma: float, rng: RngStream) -> np.ndarray:
-    """The (horizon, n) signal-model noise of one minimizer path.
+def noise_chunks(n: int, horizon: int, sigma: float, rng: RngStream, rows: int):
+    """The (horizon, n) signal-model noise of one minimizer path, in chunks.
 
-    Row k holds w_k: i.i.d. N(0, sigma^2), one entry per component.  Every
-    route that simulates a path draws its noise here, so the same stream
-    gives the same path.
+    Row k holds w_k: i.i.d. N(0, sigma^2), one entry per component.  The
+    chunks hold `rows` rows each, except the last, and come from the
+    stream one after the other, so concatenated they are the `draw_noise`
+    array bit for bit whatever `rows` is.  Every route that simulates a
+    path draws its noise here, so the same stream gives the same path.
+    The arguments are checked when the first chunk is drawn.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    noise = rng.standard_normal((horizon, n))
-    noise *= sigma
-    return noise
+    if rows < 1:
+        raise ValueError("rows must be at least 1")
+    for lo in range(0, horizon, rows):
+        chunk = rng.standard_normal((min(rows, horizon - lo), n))
+        chunk *= sigma
+        yield chunk
+
+
+def draw_noise(n: int, horizon: int, sigma: float, rng: RngStream) -> np.ndarray:
+    """The whole (horizon, n) noise of one path: `noise_chunks` in one chunk.
+
+    For callers that need every row at once, such as `simulate_minimizer`;
+    the Monte Carlo and trace routes draw chunk by chunk, so their memory
+    does not grow with the horizon.
+    """
+    return next(noise_chunks(n, horizon, sigma, rng, horizon))
 
 
 def simulate_minimizer(model: StateSpaceSISO, n: int, horizon: int, sigma: float,

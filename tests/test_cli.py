@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from quadtrack.cli import main
+from quadtrack.runner import _TRACE_ROWS, TRACE_HEADER, _fmt, _trace_csv_parts, _write_text
 
 
 def write_config(path, doc):
@@ -179,6 +180,46 @@ def test_trace_leaves_an_unstable_tracker_column_empty(tmp_path):
             (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:]]
     assert len(rows) == 2000
     assert all(row[1] != "" and row[3] == "" for row in rows)
+
+
+def percell_trace_csv(horizon, columns):
+    """The trace table as it was first written: every cell through _fmt."""
+    lines = [TRACE_HEADER]
+    for k in range(horizon):
+        cells = [str(k)]
+        for name in ("gd", "hinf", "kalman"):
+            col = columns[name]
+            cells.append(_fmt(float(col[k])) if col is not None else "")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_chunked_trace_table_keeps_the_bytes_of_the_per_cell_rows(tmp_path):
+    """The %-template parts write the bytes of the per-cell rows, with
+    infinite and NaN cells blank, for any mix of present, missing and
+    non-finite columns and horizons on both sides of a part edge."""
+    rng = np.random.default_rng(3)
+    for horizon in (1, _TRACE_ROWS - 1, _TRACE_ROWS, _TRACE_ROWS + 1):
+        def column():
+            # every magnitude from subnormal to near overflow, and signed zeros
+            col = rng.standard_normal(horizon) * 10.0 ** rng.integers(-320, 307, horizon)
+            col[rng.integers(0, horizon, 3)] = [0.0, -0.0, 5e-324]
+            return col
+
+        special = column()
+        special[[0, horizon // 2, horizon - 1]] = [np.inf, -np.inf, np.nan]
+        late = column()
+        late[horizon - 1] = np.nan
+        for columns in ({"gd": column(), "hinf": None, "kalman": column()},
+                        {"gd": None, "hinf": None, "kalman": None},
+                        {"gd": column(), "hinf": column(), "kalman": special},
+                        {"gd": None, "hinf": late, "kalman": None}):
+            parts = _trace_csv_parts(horizon, columns)
+            want = percell_trace_csv(horizon, columns)
+            assert "".join(parts) == want
+            assert all(part.count("\n") <= _TRACE_ROWS for part in parts)
+            path = _write_text(str(tmp_path / "t.csv"), *parts)
+            assert pathlib.Path(path).read_bytes() == want.encode("utf-8")
 
 
 def test_sweep_rerun_is_byte_identical(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from quadtrack.control_math import RngStream
 from quadtrack.errors import InvalidBounds
 from quadtrack.evaluation import (
     _BLOCK_WIDTH,
+    _CHUNK_BLOCKS,
+    _lift,
     analytic_cost,
     empirical_cost,
     error_trace,
@@ -30,7 +33,7 @@ from quadtrack.lti import (
     observable_canonical,
     ss_to_tf,
 )
-from quadtrack.scenario import STREAM_SIM_BASE, make_scenario, simulate_minimizer
+from quadtrack.scenario import STREAM_SIM_BASE, draw_noise, make_scenario, simulate_minimizer
 from quadtrack.trackers import (
     UncertaintyInterval,
     make_gd_tracker,
@@ -285,6 +288,108 @@ def test_error_trace_without_trackers_draws_nothing():
     assert np.array_equal(rng.standard_normal(4), sim_rng().standard_normal(4))
 
 
+def oneshot_squared_errors(loop, noise, out):
+    """The error kernel as it was before the noise came in chunks: the
+    whole path drawn first, then the blocks run in _CHUNK_BLOCKS groups."""
+    n = noise.shape[1]
+    width = loop.block * n
+    flat = noise.reshape(-1)
+    z = np.zeros(loop.phi_l.shape[0])
+    for lo in range(0, flat.size, _CHUNK_BLOCKS * width):
+        w = flat[lo:lo + _CHUNK_BLOCKS * width]
+        full = w.size - w.size % width
+        blocks = w[:full].reshape(-1, width)
+        starts = np.empty((blocks.shape[0], z.size))
+        for b, drive in enumerate(blocks @ loop.reach.T):
+            starts[b] = z
+            z = loop.phi_l @ z + drive
+        e = starts @ loop.obs.T
+        e += blocks @ loop.markov.T
+        e = e.reshape(-1, n)
+        step = lo // n
+        out[step:step + e.shape[0]] = np.einsum("ij,ij->i", e, e)
+        if full < w.size:
+            tail = w[full:]
+            e = loop.obs[:tail.size] @ z + loop.markov[:tail.size, :tail.size] @ tail
+            e = e.reshape(-1, n)
+            out[step + blocks.shape[0] * loop.block:] = np.einsum("ij,ij->i", e, e)
+
+
+def oneshot_empirical_cost(sc, ctrl, horizon, burnin, reps, rng):
+    """The Monte Carlo cost as it was before the noise came in chunks."""
+    loop = _lift(sc, ctrl)
+    row = np.empty(horizon)
+    means = []
+    for r in range(reps):
+        oneshot_squared_errors(loop, draw_noise(sc.n, horizon, sc.sigma, rng.split(r)), row)
+        means.append(float(sum(row[burnin:])) / (horizon - burnin))
+    mean = float(np.mean(means))
+    if reps == 1:
+        return mean, 0.0
+    return mean, float(np.std(means, ddof=1) / math.sqrt(reps))
+
+
+def chunk_rows(n):
+    return _CHUNK_BLOCKS * block_length(n)
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_chunked_kernel_keeps_the_bits_of_the_one_shot_kernel(n):
+    """Drawing the noise chunk by chunk, one chunk shared by every tracker,
+    changes no bit of the traces or the Monte Carlo cost.  The horizons
+    end inside the first block, on block and chunk edges and past them;
+    the burn-ins start before, on and after a chunk edge."""
+    model = stable_model()
+    sc = make_scenario(n, 1.5, 2.5, model, 0.7, seed=3)
+    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.5),
+             make_kalman_tracker(model, 1.0, 2.3)]
+    assert all(loop_stable(ss_to_tf(model), c.tf, sc.spectrum).all() for c in ctrls)
+    block, rows = block_length(n), chunk_rows(n)
+    for horizon in (1, block - 1, block, rows - 1, rows, rows + 1, 2 * rows + block + 3):
+        if horizon < 1:
+            continue
+        noise = draw_noise(n, horizon, sc.sigma, sim_rng())
+        want = np.empty((len(ctrls), horizon))
+        for row, ctrl in zip(want, ctrls):
+            oneshot_squared_errors(_lift(sc, ctrl), noise, row)
+        np.sqrt(want, out=want)
+        for count in (1, 2, 3):
+            got = error_trace(sc, ctrls[:count], horizon, sim_rng())
+            assert np.array_equal(got, want[:count])
+        for burnin in {0, min(rows - 1, horizon - 1), min(rows + 5, horizon - 1),
+                       horizon // 2, horizon - 1}:
+            for reps in (1, 2):
+                assert empirical_cost(sc, ctrls[1], horizon, burnin, reps, sim_rng()) == \
+                    oneshot_empirical_cost(sc, ctrls[1], horizon, burnin, reps, sim_rng())
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulation_memory_does_not_grow_with_the_horizon():
+    """Apart from the trace it returns, the peak memory of a run at 32
+    chunks is that of a run at 4 chunks, within 256 kB; the whole noise
+    path at 32 chunks would be 5 MB."""
+    model = stable_model()
+    sc = make_scenario(10, 1.5, 2.5, model, 1.0, seed=5)
+    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.3)]
+    trace_extra, cost_peak = [], []
+    for horizon in (4 * chunk_rows(sc.n), 32 * chunk_rows(sc.n)):
+        trace_extra.append(traced_peak(lambda: error_trace(sc, ctrls, horizon, sim_rng()))
+                           - 8 * len(ctrls) * horizon)
+        cost_peak.append(traced_peak(
+            lambda: empirical_cost(sc, ctrls[1], horizon, 100, 2, sim_rng())))
+    assert abs(trace_extra[1] - trace_extra[0]) <= 256 * 1024
+    assert abs(cost_peak[1] - cost_peak[0]) <= 256 * 1024
+
+
 @st.composite
 def stable_models(draw):
     """A random stable signal model with input weights and feedthrough."""
@@ -340,6 +445,27 @@ def test_moving_average_trailing_window():
     tr = np.array([0.0, 1.0, 2.0, 3.0])
     assert np.allclose(moving_average(tr, 2), [0.0, 0.5, 1.5, 2.5])
     assert np.array_equal(moving_average(tr, 1), tr)
+
+
+def gathered_moving_average(values, window):
+    """The moving average as it was first written: gathered indices."""
+    cs = np.concatenate([[0.0], np.cumsum(values)])
+    k = np.arange(values.size)
+    lo = np.maximum(0, k - window + 1)
+    out = (cs[k + 1] - cs[lo]) / (k + 1 - lo)
+    return np.maximum(out, 0.0)
+
+
+def test_moving_average_keeps_the_bits_of_the_gathered_formula():
+    rng = np.random.default_rng(17)
+    cases = [(0, 1), (0, 5), (1, 1), (1, 4), (7, 1), (7, 7), (7, 8), (7, 50)]
+    cases += [(int(rng.integers(1, 3000)), int(rng.integers(1, 400))) for _ in range(200)]
+    for size, window in cases:
+        # a nonnegative trace and one whose cumulative sums cancel
+        for values in (rng.exponential(size=size), rng.standard_normal(size)):
+            got = moving_average(values, window)
+            assert got.shape == (size,)
+            assert np.array_equal(got, gathered_moving_average(values, window))
 
 
 def test_moving_average_window_longer_than_trace():

@@ -9,8 +9,10 @@ from quadtrack.lti import StateSpaceSISO, observable_canonical, ss_to_tf, h2_nor
 from quadtrack.scenario import (
     STREAM_SIM_BASE,
     STREAM_SPECTRUM,
+    draw_noise,
     draw_spectrum,
     make_scenario,
+    noise_chunks,
     simulate_minimizer,
 )
 
@@ -40,6 +42,23 @@ def test_draw_spectrum_validates_arguments():
         draw_spectrum(3, 2.0, 1.0, RngStream(0, 0))
     with pytest.raises(InvalidBounds):
         draw_spectrum(3, 0.0, 1.0, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("n, horizon", [(1, 1), (3, 50), (10, 4099)])
+def test_noise_chunks_concatenate_to_one_draw(n, horizon):
+    """Any chunk size, even or uneven, replays the one-shot draw bit for bit."""
+    want = 1.3 * RngStream(9, STREAM_SIM_BASE).standard_normal((horizon, n))
+    assert np.array_equal(draw_noise(n, horizon, 1.3, RngStream(9, STREAM_SIM_BASE)), want)
+    for rows in {1, 7, 2048, horizon - 1, horizon, horizon + 5} - {0}:
+        chunks = list(noise_chunks(n, horizon, 1.3, RngStream(9, STREAM_SIM_BASE), rows))
+        assert [c.shape[0] for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert np.array_equal(np.concatenate(chunks), want)
+
+
+def test_noise_chunks_validate_arguments():
+    for horizon, sigma, rows in ((0, 1.0, 5), (5, -1.0, 5), (5, 1.0, 0)):
+        with pytest.raises(ValueError):
+            next(noise_chunks(1, horizon, sigma, RngStream(0, 100), rows))
 
 
 def test_simulate_minimizer_matches_reference_recursion():
