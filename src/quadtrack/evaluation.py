@@ -156,15 +156,16 @@ def _lift(scenario: QuadraticScenario, ctrl) -> _LiftedLoop:
 
 
 def _squared_errors(loop: _LiftedLoop, z: np.ndarray, noise: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
+                    out: np.ndarray) -> np.ndarray | None:
     """Write |e_k|^2 of one noise chunk into out; return the state after it.
 
     z is the joint state before the chunk's first step, noise holds w_k
     in row k, and the error e_k = x_k - c_k is the one taken before the
-    step that consumes the gradient A e_k.  A chunk holds whole blocks,
-    except the last chunk of a path: one matmul each for the state drive
-    and the errors, a short loop over blocks for the state recursion, and
-    the leading rows of the lifted matrices for a short final block.
+    step that consumes the gradient A e_k.  One matmul each for the state
+    drive and the errors, a short loop over blocks for the state recursion,
+    and the leading rows of the lifted matrices for a short final block.
+    The state is not advanced through a short final block, so a chunk that
+    ends in one returns None: only the last chunk of a path may.
     """
     n = noise.shape[1]
     full = noise.shape[0] - noise.shape[0] % loop.block
@@ -182,6 +183,7 @@ def _squared_errors(loop: _LiftedLoop, z: np.ndarray, noise: np.ndarray,
         e = loop.obs[:tail.size] @ z + loop.markov[:tail.size, :tail.size] @ tail
         e = e.reshape(-1, n)
         out[full:] = np.einsum("ij,ij->i", e, e)
+        return None
     return z
 
 

@@ -186,21 +186,13 @@ def run_trace(cfg: ExperimentConfig) -> dict:
     return columns
 
 
-def _trace_rows(columns: list, lo: int, hi: int) -> str:
-    """Rows lo..hi-1 of the trace table, cell by cell through `_fmt`."""
-    return "".join(
-        ",".join([str(k)] + [_fmt(float(col[k])) if col is not None else ""
-                             for col in columns]) + "\n"
-        for k in range(lo, hi))
-
-
 def _trace_csv_parts(horizon: int, columns: dict) -> list:
     """The trace table as consecutive text parts, _TRACE_ROWS rows each.
 
-    A part whose cells are all finite is formatted with one %-template
-    (empty fields for the trackers not run); any other part goes cell by
-    cell through `_fmt`, which blanks the infinite and NaN cells.  Both
-    give the same bytes.
+    Each part is formatted with one %-template, with empty fields for the
+    trackers not run.  %.17g writes the non-finite values as inf, -inf and
+    nan, and no finite %.17g or %d field holds an n, so blanking those
+    tokens in a part that holds one gives the empty cells of `_fmt`.
     """
     cols = [columns[name] for name in _COLUMN_ORDER]
     row = "%d" + "".join(",%.17g" if col is not None else "," for col in cols) + "\n"
@@ -208,12 +200,11 @@ def _trace_csv_parts(horizon: int, columns: dict) -> list:
     parts = [TRACE_HEADER + "\n"]
     for lo in range(0, horizon, _TRACE_ROWS):
         hi = min(lo + _TRACE_ROWS, horizon)
-        values = [col[lo:hi] for col in present]
-        if all(np.isfinite(v).all() for v in values):
-            cells = zip(range(lo, hi), *(v.tolist() for v in values))
-            parts.append(row * (hi - lo) % tuple(itertools.chain.from_iterable(cells)))
-        else:
-            parts.append(_trace_rows(cols, lo, hi))
+        cells = zip(range(lo, hi), *(col[lo:hi].tolist() for col in present))
+        text = row * (hi - lo) % tuple(itertools.chain.from_iterable(cells))
+        if "n" in text:
+            text = text.replace("-inf", "").replace("inf", "").replace("nan", "")
+        parts.append(text)
     return parts
 
 
