@@ -8,17 +8,13 @@ circle is the stability boundary; `control_math.STABILITY_MARGIN` separates
 one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 
 `loop_stable` answers "is the error loop stable?" for a whole batch of
-curvatures at once.  Every summed H2 cost comes from one kernel,
-`loop_h2_stack`, over a whole (controllers x curvatures) grid, and every
-squared H2 norm from one stacked Astrom-Jury table, `_h2_table`, whose
-one-row case is `h2_norm_sq_exact`.  The kernel factors each loop once,
-for the row flags; for the filter tracker, whose controller shares the
-signal model's denominator, its stacked cells read those roots and the
-controllers' own coefficients, so each carries the bits of the scalar
-routines by construction.  Other cells, and cells where a special case of
-the scalar routines applies, go to those routines (`closed_loop_error_tf`,
-`h2_norm_sq_exact`, `hinf_norm`), which stay public as the per-curvature
-oracle of the kernel and of the tests and give the peak gains.
+curvatures at once.  Every cost of an error loop -h / (1 - lam c) is read
+from its row, `_error_row`, with no root cancellation: every summed H2 cost
+from one kernel, `loop_h2_stack`, which scores all the stable cells of a
+(controllers x curvatures) grid with one Astrom-Jury table, `_h2_table`,
+and every peak gain from `loop_peaks`.  The cancelled form
+`closed_loop_error_tf` and the one-row `h2_norm_sq_exact` stay public as
+the tests' per-curvature oracle.
 """
 
 from dataclasses import dataclass
@@ -37,12 +33,14 @@ __all__ = [
     "ss_to_tf",
     "tf_to_ss",
     "closed_loop_error_tf",
+    "factor_poles",
     "h2_norm_sq_exact",
     "h2_norm_sq_freq",
     "hinf_norm",
     "is_internally_stable",
     "loop_stable",
     "loop_h2_stack",
+    "loop_peaks",
 ]
 
 CANCEL_TOL = 1e-9
@@ -370,6 +368,44 @@ def _carries_internal_model(h: TransferFunctionSISO, c_den: np.ndarray) -> bool:
     return len(matched_bad) == len(bad)
 
 
+def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split h = n / (d_u d_s) by pole modulus at the stability margin.
+
+    Returns (n, d_u, d_s) with d_u, d_s monic; d_u collects every pole of
+    modulus >= 1 - STABILITY_MARGIN and reduces to the constant 1 when h
+    is stable.
+    A stable h keeps its own denominator as d_s: rebuilding it from its
+    roots would perturb the coefficients at roundoff level, and synthesis
+    results follow those coefficients.
+    """
+    poles = h.poles().astype(complex)
+    unstable = np.abs(poles) >= 1.0 - STABILITY_MARGIN
+    if not unstable.any():
+        return h.num.copy(), np.ones(1), h.den.copy()
+    d_u, d_s = npoly.polyfromroots(poles[unstable]), npoly.polyfromroots(poles[~unstable])
+    if any(np.max(np.abs(p.imag)) > 1e-10 * max(1.0, np.max(np.abs(p.real))) for p in (d_u, d_s)):
+        raise ValueError("pole set is not conjugate-closed")
+    return h.num.copy(), d_u.real, d_s.real
+
+
+def _error_row(h: TransferFunctionSISO, c_den: np.ndarray) -> tuple:
+    """(w_num, s) with -h / (1 - lam c) = w_num / (s (d_c - lam n_c)) at every lam.
+
+    A controller that shares d_h (the filter tracker) gives the reduced
+    row (-n_h, 1).  Otherwise, with h = n_h / (d_u d_s) by `factor_poles`,
+    the row is (-n_h (d_c / d_u), d_s): a controller that carries the
+    internal model has d_u dividing d_c, so the division is exact up to
+    roundoff.  Raises NotConverged where it leaves more than that.
+    """
+    if _shares_den(h, c_den):
+        return -h.num, np.ones(1)
+    n_h, d_u, d_s = factor_poles(h)
+    quo, rem = npoly.polydiv(c_den, d_u)
+    if np.max(np.abs(rem)) > 1e-8 * max(1.0, float(np.max(np.abs(c_den)))):
+        raise NotConverged("error loop: d_u does not divide the controller denominator")
+    return npoly.polymul(-n_h, quo), d_s
+
+
 def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
     """Internal stability of the (h, lam, c) error loop, one flag per lam.
 
@@ -401,13 +437,17 @@ def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
 def _h2_table(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
     """jw**2 + ||sp[i] / loops[i]||_2^2 per row, by the Astrom-Jury table.
 
-    loops: (N, q + 1) monic ascending denominators, q >= 1; sp: (N, k <= q)
+    loops: (N, q + 1) monic ascending denominators; sp: (N, k <= q)
     ascending numerators.  The recursion of Astrom, Jury and Agniel (IEEE
     TAC 15(4), 1970) reduces both polynomials, written descending, one
     degree per step, q vector steps for the whole stack.  A loop is stable
     exactly when every leading coefficient of the table stays positive;
     ok is false where one does not, and that row's value is meaningless.
     Returns (values, ok).
+
+    Every H2 cost of the program passes through here.  A value is accurate
+    to about 2e3 eps kappa (kappa its componentwise condition number), and
+    as the largest pole modulus rho nears 1 the error grows as eps / (1 - rho)^2.
     """
     n, q = loops.shape[0], loops.shape[1] - 1
     a = loops[:, ::-1].copy()
@@ -510,54 +550,17 @@ def hinf_norm(w: TransferFunctionSISO) -> float:
     return max(float(mags[k]), refined)
 
 
-def _h2_cells(h: TransferFunctionSISO, den: np.ndarray, nums: np.ndarray, lams: np.ndarray,
-              roots: np.ndarray, num_roots: np.ndarray) -> tuple:
-    """`h2_norm_sq_exact(closed_loop_error_tf(h, nums[i] / den, lams[i]))` per cell, stacked.
-
-    den is the controllers' monic denominator, nums each cell's stored
-    numerator zero-padded to width deg(den), roots the `_loop_roots` of its
-    loop (all inside the margin) and num_roots those of -n_h.  Returns
-    (values, ok); ok is false where a special case of the scalar routines
-    applies or may apply (a root pair within reach of `CANCEL_TOL`, a
-    strictly proper part `_trim` would shorten, a table that finds the
-    loop not stable to working precision), and such a cell's value must
-    come from the scalar routines.  The leading 1 is never `_trim`med: each loop is monic of
-    degree q with all roots inside the unit circle, so its coefficients
-    are below the binomials C(q, k) <= 2^q, and below 1e14 up to q = 49.
-    """
-    q = den.size - 1
-    loops = np.tile(den, (lams.size, 1))
-    loops[:, :q] -= lams[:, None] * nums
-    # strictly proper part: w - j_w, whose top coefficient is an exact zero
-    w_num = -h.num
-    jw, size = (w_num[q], q) if w_num.size == q + 1 else (0.0, w_num.size)
-    sp = (w_num - jw * loops[:, : w_num.size])[:, :size]
-    ok = np.abs(sp[:, -1]) > 1e-14 * np.max(np.abs(sp), axis=1)
-    if num_roots.size:
-        # the scalar check takes abs of numpy scalars, which may round
-        # differently by an ulp: twice the tolerance leaves the margin
-        gaps = np.abs(roots[:, :, None] - num_roots[None, None, :])
-        ok &= np.min(gaps, axis=(1, 2)) > 2.0 * CANCEL_TOL
-    vals, solved = _h2_table(loops, sp, jw)
-    return vals, ok & solved
-
-
 def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.ndarray:
     """Squared H2 norms of the error loops of the controllers nums[i] / den.
 
     Returns a (controllers x curvatures) array.  Row i belongs to
-    c_i = TransferFunctionSISO(nums[i], den, cancel=False): where
-    `loop_stable` holds at every curvature, its cells are
-    `h2_norm_sq_exact(closed_loop_error_tf(h, c_i, lam))` bit for bit;
-    otherwise the whole row reads +inf, the rule of a summed tracking
-    cost.  One `_loop_roots` call factors every loop for the row flags.
-    When the controllers share the signal model's denominator (the filter
-    tracker), the stable rows' cells go to `_h2_cells` in one call, with
-    those roots and the controllers' own coefficients.
-    Every other cell, and every cell `_h2_cells` refuses, goes to the
-    scalar routines, which raise `NotConverged` where they always did.
-
-    Raises AlgebraicLoop unless the controllers are strictly proper.
+    c_i = TransferFunctionSISO(nums[i], den, cancel=False).  One
+    `roots_stable` call factors every loop for the row flags: where
+    `loop_stable` fails at any curvature the whole row reads +inf, the
+    rule of a summed tracking cost.  One `_h2_table` call scores the
+    `_error_row` of every other cell.  Raises NotConverged where the table
+    finds a cell not stable to working precision or where `_error_row`
+    does, and AlgebraicLoop unless the controllers are strictly proper.
     """
     den = np.asarray(den, dtype=float)
     nums = np.atleast_2d(np.asarray(nums, dtype=float))
@@ -573,16 +576,40 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     for i, c in enumerate(cs):
         if not c.is_zero:
             padded[i, : c.num.size] = c.num
-    roots = _loop_roots(c_den, padded, lams)
-    stable = np.flatnonzero((np.abs(roots) < 1.0 - STABILITY_MARGIN).all(axis=(1, 2)))
+    stable = np.flatnonzero(roots_stable(c_den, padded, lams).all(axis=1))
     rows = np.repeat(stable, lams.size)
+    if rows.size == 0:
+        return h2_sq
     cols = np.tile(np.arange(lams.size), len(stable))
-    scalar = np.ones(rows.size, dtype=bool)
-    if q > 0 and _shares_den(h, c_den):
-        num_roots = polynomial_roots(-h.num) if h.num.size > 1 else np.zeros(0)
-        vals, ok = _h2_cells(h, c_den, padded[rows], lams[cols], roots[rows, cols], num_roots)
-        h2_sq[rows[ok], cols[ok]] = vals[ok]
-        scalar = ~ok
-    for i, k in zip(rows[scalar], cols[scalar]):
-        h2_sq[i, k] = h2_norm_sq_exact(closed_loop_error_tf(h, cs[i], float(lams[k])))
+    w_num, s = _error_row(h, c_den)
+    dens = np.tile(c_den, (rows.size, 1))
+    dens[:, :q] -= lams[cols, None] * padded[rows]
+    if s.size > 1:
+        dens = np.array([npoly.polymul(s, loop) for loop in dens])
+    deg = dens.shape[1] - 1
+    # strictly proper part: w - j_w, whose top coefficient is an exact zero
+    jw, size = (w_num[deg], deg) if w_num.size == deg + 1 else (0.0, w_num.size)
+    sp = (w_num - jw * dens[:, : w_num.size])[:, :size]
+    vals, ok = _h2_table(dens, sp, jw)
+    if not ok.all():
+        raise NotConverged("H2 table: an error loop is not stable to working precision")
+    h2_sq[rows, cols] = vals
     return h2_sq
+
+
+def loop_peaks(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
+    """Peak gain of the error loop -h / (1 - lam c), one per lam.
+
+    `hinf_norm` of the `_error_row` of each loop where `loop_stable`
+    holds, +inf where it does not.  Raises NotConverged where
+    `_error_row` does, and AlgebraicLoop unless c is strictly proper.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    stable = loop_stable(h, c, lams)
+    peaks = np.full(lams.size, np.inf)
+    if stable.any():
+        w_num, s = _error_row(h, c.den)
+        for k in np.flatnonzero(stable):
+            den = npoly.polymul(s, _loop_char(c, float(lams[k])))
+            peaks[k] = hinf_norm(TransferFunctionSISO(w_num, den, cancel=False))
+    return peaks

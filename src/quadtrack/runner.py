@@ -22,7 +22,7 @@ from .config import ExperimentConfig, build_scenario, parse_config, validate_con
 from .control_math import RngStream, chebyshev_grid
 from .errors import NoStabilizingController
 from .evaluation import analytic_cost, empirical_cost, error_trace, moving_average
-from .lti import closed_loop_error_tf, h2_norm_sq_exact, hinf_norm, loop_stable, ss_to_tf
+from .lti import loop_h2_stack, loop_peaks, loop_stable, ss_to_tf
 from .presets import preset_document
 from .scenario import STREAM_SIM_BASE, QuadraticScenario
 from .synthesis import SynthesisOptions, precompensated_synthesize
@@ -272,18 +272,14 @@ def evaluate_cmd(controller_path: str, config_path: str) -> list:
     else:
         emp_mean, emp_stderr = float("inf"), 0.0
     grid = chebyshev_grid(scenario.lambda_min, scenario.lambda_max, cfg.trackers.hinf_grid)
-    lines = ["lambda,stable,h2_norm_sq,hinf_norm"]
+    stable = loop_stable(h, ctrl.tf, grid)
     # +inf wherever the loop is unstable, so the largest is robust_cost on the grid
-    peaks = []
-    for lam, ok in zip(grid.tolist(), loop_stable(h, ctrl.tf, grid).tolist()):
-        if ok:
-            w = closed_loop_error_tf(h, ctrl.tf, lam)
-            peak = hinf_norm(w)
-            lines.append(f"{_fmt(lam)},true,{_fmt(h2_norm_sq_exact(w))},{_fmt(peak)}")
-        else:
-            peak = math.inf
-            lines.append(f"{_fmt(lam)},false,,")
-        peaks.append(peak)
+    peaks = loop_peaks(h, ctrl.tf, grid).tolist()
+    h2_sq = iter(loop_h2_stack(h, ctrl.tf.den, ctrl.tf.num, grid[stable])[0].tolist())
+    lines = ["lambda,stable,h2_norm_sq,hinf_norm"]
+    for lam, ok, peak in zip(grid.tolist(), stable.tolist(), peaks):
+        lines.append(f"{_fmt(lam)},true,{_fmt(next(h2_sq))},{_fmt(peak)}" if ok
+                     else f"{_fmt(lam)},false,,")
     robust = max(peaks)
 
     def show(value):

@@ -23,9 +23,9 @@ from numpy.polynomial import polynomial as npoly
 from .control_math import STABILITY_MARGIN, RngStream, chebyshev_grid
 from .errors import InvalidBounds, NoStabilizingController, QuadtrackError
 from .evaluation import robust_cost
-from .lti import CIRCLE_POINTS, StateSpaceSISO, TransferFunctionSISO, roots_stable, tf_to_ss
+from .lti import CIRCLE_POINTS, StateSpaceSISO, TransferFunctionSISO, factor_poles, roots_stable, tf_to_ss
 from .scenario import STREAM_SYNTH_BASE
-from .trackers import KIND_HINF, TrackerController, UncertaintyInterval, factor_poles, kalman_gain, mu_star_search
+from .trackers import KIND_HINF, TrackerController, UncertaintyInterval, kalman_gain, mu_star_search
 
 __all__ = ["SynthesisOptions", "hinf_synthesize", "precompensated_synthesize"]
 

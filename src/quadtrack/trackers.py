@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .control_math import STABILITY_MARGIN, solve_dare
+from .control_math import solve_dare
 from .errors import (
     DimensionMismatch,
     InvalidBounds,
@@ -41,7 +40,6 @@ __all__ = [
     "make_kalman_tracker",
     "make_gd_tracker",
     "tracker_step",
-    "factor_poles",
     "controller_to_dict",
     "controller_from_dict",
 ]
@@ -220,8 +218,8 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
 
     The whole 160-point grid is scored in one `loop_h2_stack` call, and
     each refinement step in another; each cost sums its row left to right.
-    The kernel gives the bits of the scalar routines, so the tuned value
-    is the float a per-curvature scan of `h2_norm_sq_exact` returns.
+    The filter controller shares the signal model's denominator, so each
+    cell is the reduced row -n_h / loop of `lti._error_row`.
     """
     eigs = _spectrum(eigs)
     sigma2 = float(sigma2)
@@ -321,35 +319,6 @@ def _bounded_brent(func, a, b, xatol: float) -> tuple:
             if num >= 500:
                 break
     return xf, fx
-
-
-def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split h = n / (d_u d_s) by pole modulus at the stability margin.
-
-    Returns (n, d_u, d_s) with d_u, d_s monic; d_u collects every pole of
-    modulus >= 1 - STABILITY_MARGIN and reduces to the constant 1 when h
-    is stable.
-    A stable h keeps its own denominator as d_s: rebuilding it from its
-    roots would perturb the coefficients at roundoff level, and synthesis
-    results follow those coefficients.
-    """
-    if h.degree == 0:
-        return h.num.copy(), np.ones(1), np.ones(1)
-    poles = h.poles()
-    unstable = [r for r in poles if abs(r) >= 1.0 - STABILITY_MARGIN]
-    if not unstable:
-        return h.num.copy(), np.ones(1), h.den.copy()
-    stable = [r for r in poles if abs(r) < 1.0 - STABILITY_MARGIN]
-
-    def rebuild(roots):
-        if not roots:
-            return np.ones(1)
-        p = npoly.polyfromroots(np.asarray(roots, dtype=complex))
-        if np.max(np.abs(p.imag)) > 1e-10 * max(1.0, np.max(np.abs(p.real))):
-            raise ValueError("pole set is not conjugate-closed")
-        return p.real
-
-    return h.num.copy(), rebuild(unstable), rebuild(stable)
 
 
 def controller_to_dict(ctrl: TrackerController) -> dict:

@@ -19,6 +19,7 @@ from quadtrack.lti import (
     StateSpaceSISO,
     TransferFunctionSISO,
     closed_loop_error_tf,
+    factor_poles,
     h2_norm_sq_exact,
     h2_norm_sq_freq,
     hinf_norm,
@@ -33,7 +34,6 @@ from quadtrack.scenario import STREAM_SIM_BASE, make_scenario, simulate_minimize
 from quadtrack.synthesis import SynthesisOptions, precompensated_synthesize
 from quadtrack.trackers import (
     UncertaintyInterval,
-    factor_poles,
     kalman_gain,
     make_gd_tracker,
     make_kalman_tracker,

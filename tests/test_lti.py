@@ -23,12 +23,13 @@ from quadtrack.lti import (
     hinf_norm,
     is_internally_stable,
     loop_h2_stack,
+    loop_peaks,
     loop_stable,
     observable_canonical,
     ss_to_tf,
     tf_to_ss,
 )
-from quadtrack.lti import _h2_cells, _h2_table, _loop_char, _loop_roots, _match_roots
+from quadtrack.lti import _h2_table, _loop_char, _loop_roots, _match_roots
 
 
 def random_stable_tf(rng, max_deg=6, max_radius=0.95):
@@ -272,7 +273,7 @@ def test_loop_h2_stack_matches_frequency_integral(case):
         return
     for lam, value in zip(lams, h2_sq):
         w = closed_loop_error_tf(h, c, float(lam))
-        if not np.isfinite(value) or (w.degree > 0 and np.max(np.abs(w.poles())) > 0.998):
+        if not np.isfinite(value) or near_circle(w):
             continue  # the uniform sum cannot resolve poles this close to the circle
         assert value == pytest.approx(h2_norm_sq_freq(w, 2 ** 14), rel=1e-6, abs=1e-12)
 
@@ -285,17 +286,57 @@ def reference_row(h, c, lams):
     return [h2_norm_sq_exact(closed_loop_error_tf(h, c, float(lam))) for lam in lams]
 
 
+def near_circle(w):
+    """Whether w has a pole beyond 0.998: there the table and the scalar route
+    agree only loosely, and the uniform sum cannot resolve w."""
+    return w.degree > 0 and np.max(np.abs(w.poles())) > 0.998
+
+
+def oracle_rtol(h, c, lam):
+    """How far the scalar route may sit from a stable row: 1e-8, plus the
+    error of its cancellation.  Dropping a pole-zero pair up to CANCEL_TOL
+    apart moves the function on the circle by up to CANCEL_TOL / (1 - rho)
+    relative, rho the largest modulus of the row's poles (the loop's roots
+    and the stable poles of h), and a squared norm by twice that."""
+    poles = np.concatenate([np.atleast_1d(h.poles()), _loop_roots(c.den, c.num, np.array([lam]))[0]])
+    rho = np.max(np.abs(poles[np.abs(poles) < 1.0 - STABILITY_MARGIN]), initial=0.0)
+    return 1e-8 + 2.0 * CANCEL_TOL / (1.0 - rho)
+
+
 @given(loops())
 def test_loop_h2_stack_replays_the_scalar_routines_for_any_controller(case):
-    """A controller with its own denominator gets the scalar values cell by cell."""
+    """Each cell of a stable row is the scalar route's value to 1e-8 and that
+    route's cancellation error wherever the error function's poles clear
+    0.998; an unstable row reads +inf."""
     h, c, lams = case
-    try:
-        expected = reference_row(h, c, lams)
-    except NotConverged:
-        with pytest.raises(NotConverged):
-            loop_h2_stack(h, c.den, c.num, lams)
+    row = loop_h2_stack(h, c.den, c.num, lams)[0]
+    if not loop_stable(h, c, lams).all():
+        assert np.all(np.isinf(row))
         return
-    assert np.array_equal(loop_h2_stack(h, c.den, c.num, lams)[0], expected)
+    for lam, value in zip(lams, row):
+        w = closed_loop_error_tf(h, c, float(lam))
+        if not near_circle(w):
+            assert value == pytest.approx(h2_norm_sq_exact(w), rel=oracle_rtol(h, c, lam))
+
+
+# the loop root -0.9375 + 6.25e-10 is within CANCEL_TOL of the controller's
+# pole, so the scalar route drops that pair and its peak is 1e-8 high
+@example((TransferFunctionSISO([0.0, 1.0], [0.5, 1.0]), TransferFunctionSISO([5e-9], [0.9375, 1.0]),
+          np.array([0.125])))
+@given(loops())
+def test_loop_peaks_are_the_peak_gains_of_the_scalar_route(case):
+    """+inf where the loop is unstable; elsewhere the scalar route's peak gain
+    to 1e-8 and that route's cancellation error wherever the error
+    function's poles clear 0.998."""
+    h, c, lams = case
+    peaks = loop_peaks(h, c, lams)
+    for lam, peak, stable in zip(lams, peaks, loop_stable(h, c, lams)):
+        if not stable:
+            assert peak == float("inf")
+            continue
+        w = closed_loop_error_tf(h, c, float(lam))
+        if not near_circle(w):
+            assert peak == pytest.approx(hinf_norm(w), rel=oracle_rtol(h, c, lam))
 
 
 @settings(max_examples=40)
@@ -353,12 +394,29 @@ def test_loop_roots_are_the_roots_polynomial_roots_finds(case):
             assert np.array_equal(np.sort(r), polynomial_roots(_loop_char(c, float(lam))))
 
 
+def reduced_row(h, c, lams):
+    """One row of `loop_h2_stack` for a controller over d_h, from the scalar
+    routine alone: `h2_norm_sq_exact` of the reduced filter row -n_h / loop,
+    +inf throughout unless the loop is stable at every curvature."""
+    if not loop_stable(h, c, lams).all():
+        return [float("inf")] * len(lams)
+    return [h2_norm_sq_exact(TransferFunctionSISO(-h.num, _loop_char(c, float(lam)), cancel=False))
+            for lam in lams]
+
+
+D_98 = npoly.polyfromroots([0.9, 0.8])
+
+
+# a numerator whose top coefficient is 0 and the zero numerator are stacked
+# cells like any other: the controllers' own coefficients need no `_trim`
+@example((TransferFunctionSISO([1.0, 0.5], D_98), D_98, np.array([[-0.1, 0.0], [0.0, 0.0]]),
+          np.array([0.5, 1.0, 1.5])))
 @given(shared_loops())
 def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
     h, den, nums, lams = case
     cs = [TransferFunctionSISO(num, den, cancel=False) for num in nums]
     try:
-        expected = np.array([reference_row(h, c, lams) for c in cs])
+        expected = np.array([reduced_row(h, c, lams) for c in cs])
     except NotConverged:
         with pytest.raises(NotConverged):
             loop_h2_stack(h, den, nums, lams)
@@ -366,38 +424,17 @@ def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
     assert np.array_equal(loop_h2_stack(h, den, nums, lams), expected)
 
 
-def stacked_cells(h, cs, lams):
-    """`_h2_cells` over every (controller, lam) cell of cs, row-major."""
-    nums = padded_rows(cs)
-    roots = _loop_roots(cs[0].den, nums, lams).reshape(len(cs) * lams.size, -1)
-    num_roots = polynomial_roots(-h.num) if h.num.size > 1 else np.zeros(0)
-    return _h2_cells(h, cs[0].den, np.repeat(nums, lams.size, axis=0), np.tile(lams, len(cs)),
-                     roots, num_roots)
-
-
-def test_h2_cells_take_trimmed_and_zero_numerators():
-    # the controllers' own coefficients need no replay of `_trim`: a
-    # numerator whose top coefficient is 0 and the zero numerator are
-    # stacked cells like any other
-    h = TransferFunctionSISO([1.0, 0.5], npoly.polyfromroots([0.9, 0.8]))
-    cs = [TransferFunctionSISO(num, h.den, cancel=False) for num in ([-0.1, 0.0], [0.0, 0.0])]
-    lams = np.array([0.5, 1.0, 1.5])
-    vals, ok = stacked_cells(h, cs, lams)
-    assert ok.all()
-    assert vals.tolist() == [v for c in cs for v in reference_row(h, c, lams)]
-
-
-def test_loop_h2_stack_hands_a_cancelling_root_pair_to_the_scalar_routines():
+def test_loop_h2_stack_scores_a_cancelling_root_pair_in_the_table():
     # at lam = 1 the loop d_h - n_c is (z - 0.5)(z - 0.2), whose root 0.5
-    # cancels the zero of h, so the error function loses a degree there
-    d_h = npoly.polyfromroots([0.9, 0.8])
-    h = TransferFunctionSISO(npoly.polyfromroots([0.5]), d_h)
-    c = TransferFunctionSISO(npoly.polysub(d_h, npoly.polyfromroots([0.5, 0.2]))[:2], h.den)
+    # cancels the zero of h, so the scalar route's error function loses a
+    # degree there; the kernel's cell is the table's value of the unreduced row
+    h = TransferFunctionSISO(npoly.polyfromroots([0.5]), D_98)
+    c = TransferFunctionSISO(npoly.polysub(D_98, npoly.polyfromroots([0.5, 0.2]))[:2], h.den)
     lams = np.array([0.5, 1.0, 1.5])
     assert [closed_loop_error_tf(h, c, lam).degree for lam in lams] == [2, 1, 2]
-    _, stacked = stacked_cells(h, [c], lams)
-    assert stacked.tolist() == [True, False, True]
-    assert loop_h2_stack(h, h.den, c.num, lams)[0].tolist() == reference_row(h, c, lams)
+    row = loop_h2_stack(h, h.den, c.num, lams)[0]
+    assert row.tolist() == reduced_row(h, c, lams)
+    assert row.tolist() == pytest.approx(reference_row(h, c, lams), rel=1e-15, abs=0.0)
 
 
 def test_loop_h2_stack_takes_any_strictly_proper_controller():

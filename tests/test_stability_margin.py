@@ -6,10 +6,16 @@ import pytest
 from quadtrack.config import validate_config
 from quadtrack.control_math import STABILITY_MARGIN
 from quadtrack.errors import ConfigError, InvalidBounds, NoStabilizingController
-from quadtrack.lti import StateSpaceSISO, TransferFunctionSISO, h2_norm_sq_exact, hinf_norm
+from quadtrack.lti import (
+    StateSpaceSISO,
+    TransferFunctionSISO,
+    factor_poles,
+    h2_norm_sq_exact,
+    hinf_norm,
+)
 from quadtrack.scenario import make_scenario
 from quadtrack.synthesis import SynthesisOptions, hinf_synthesize
-from quadtrack.trackers import UncertaintyInterval, factor_poles
+from quadtrack.trackers import UncertaintyInterval
 
 
 def _config_accepts(key, pole):

@@ -178,7 +178,7 @@ def test_objective_divides_by_the_smallest_denominator_bit_for_bit():
     max of num over the smallest denominator per frequency, bit for bit, on
     feasible and infeasible coefficient vectors alike."""
     from quadtrack.synthesis import _Objective
-    from quadtrack.trackers import factor_poles
+    from quadtrack.lti import factor_poles
 
     rng = np.random.default_rng(11)
     infeasible = 0
@@ -211,7 +211,7 @@ def test_objective_reuses_its_buffers_without_stale_values():
     non-finite vectors with the values a per-call-allocation formula and a
     fresh instance give, so no buffer carries a value between calls."""
     from quadtrack.synthesis import _kalman_start, _Objective
-    from quadtrack.trackers import factor_poles
+    from quadtrack.lti import factor_poles
 
     rng = np.random.default_rng(12)
     for model, (lo, hi) in [(stable_model(), (1.0, 3.5)), (unstable_model(j=1.85), (2.0, 3.3))]:

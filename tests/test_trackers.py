@@ -18,6 +18,7 @@ from quadtrack.errors import (
 from quadtrack.lti import (
     StateSpaceSISO,
     TransferFunctionSISO,
+    factor_poles,
     is_internally_stable,
     observable_canonical,
     ss_to_tf,
@@ -26,7 +27,6 @@ from quadtrack.trackers import (
     UncertaintyInterval,
     controller_from_dict,
     controller_to_dict,
-    factor_poles,
     kalman_gain,
     make_gd_tracker,
     make_kalman_tracker,
