@@ -134,7 +134,10 @@ def _transmission_zeros(f, g, h, j) -> np.ndarray:
     infinite ones at working precision and are treated as such.
     """
     if j != 0.0:
-        w = np.linalg.eigvals(f - np.outer(g, h) / j)
+        # a j so small that g h / j overflows leaves inf entries, which
+        # eigvals refuses with LinAlgError; the DARE then iterates instead
+        with np.errstate(over="ignore"):
+            w = np.linalg.eigvals(f - np.outer(g, h) / j)
     else:
         w = np.roots(np.poly(f - np.outer(g, h)) - np.poly(f))
     w = w[np.isfinite(w)]

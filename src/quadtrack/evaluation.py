@@ -281,6 +281,6 @@ def mismatch_curve(model: StateSpaceSISO, sigma2: float, lam: float,
     h = ss_to_tf(model)
     out = []
     for a in ratios:
-        ctrl = make_kalman_tracker(model, sigma2, float(lam) / float(a))
+        ctrl = make_kalman_tracker(model, float(lam) / float(a))
         out.append((float(a), analytic_cost(h, ctrl.tf, [float(lam)], sigma2)))
     return out

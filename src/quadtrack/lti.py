@@ -8,13 +8,15 @@ circle is the stability boundary; `control_math.STABILITY_MARGIN` separates
 one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 
 `loop_stable` answers "is the error loop stable?" for a whole batch of
-curvatures at once.  Every cost of an error loop -h / (1 - lam c) is read
-from its row, `_error_row`, with no root cancellation: every summed H2 cost
-from one kernel, `loop_h2_stack`, which scores all the stable cells of a
-(controllers x curvatures) grid with one Astrom-Jury table, `_h2_table`,
-and every peak gain from `loop_peaks`.  The cancelled form
-`closed_loop_error_tf` and the one-row `h2_norm_sq_exact` stay public as
-the tests' per-curvature oracle.
+curvatures at once: the roots of d_c - lam n_c lie inside the circle, and
+the controller carries the internal model, whose one rule is `_error_row`'s
+division: the factor d_u of the signal's persistent poles divides d_c up
+to roundoff.  Every cost of an error loop -h / (1 - lam c) is read from
+that row, with no root cancellation: every summed H2 cost from one kernel,
+`loop_h2_stack`, which scores all the stable cells of a (controllers x
+curvatures) grid with one Astrom-Jury table, `_h2_table`, and every peak
+gain from `loop_peaks`.  The cancelled form `closed_loop_error_tf` and the
+one-row `h2_norm_sq_exact` stay public as the tests' per-curvature oracle.
 """
 
 from dataclasses import dataclass
@@ -357,17 +359,6 @@ def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
     return (np.abs(roots) < 1.0 - STABILITY_MARGIN).all(axis=-1)
 
 
-def _carries_internal_model(h: TransferFunctionSISO, c_den: np.ndarray) -> bool:
-    """Whether every non-decaying pole of h is matched by a root of n_h d_c."""
-    bad = [r for r in np.atleast_1d(h.poles()) if abs(r) >= 1.0 - STABILITY_MARGIN]
-    if not bad:
-        return True
-    c_poles = polynomial_roots(c_den) if c_den.size > 1 else []
-    candidates = list(np.atleast_1d(h.zeros())) + list(c_poles)
-    _, matched_bad = _match_roots(candidates, bad, CANCEL_TOL)
-    return len(matched_bad) == len(bad)
-
-
 def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split h = n / (d_u d_s) by pole modulus at the stability margin.
 
@@ -388,21 +379,21 @@ def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.nd
     return h.num.copy(), d_u.real, d_s.real
 
 
-def _error_row(h: TransferFunctionSISO, c_den: np.ndarray) -> tuple:
+def _error_row(h: TransferFunctionSISO, c_den: np.ndarray) -> tuple | None:
     """(w_num, s) with -h / (1 - lam c) = w_num / (s (d_c - lam n_c)) at every lam.
 
-    A controller that shares d_h (the filter tracker) gives the reduced
-    row (-n_h, 1).  Otherwise, with h = n_h / (d_u d_s) by `factor_poles`,
-    the row is (-n_h (d_c / d_u), d_s): a controller that carries the
-    internal model has d_u dividing d_c, so the division is exact up to
-    roundoff.  Raises NotConverged where it leaves more than that.
+    The one internal-model rule: with h = n_h / (d_u d_s) by `factor_poles`,
+    the controller carries the persistent modes when d_u divides d_c, i.e.
+    the remainder of d_c / d_u is at most 1e-8 max(1, max |d_c|); else the
+    result is None.  A controller that shares d_h (the filter tracker)
+    gives the reduced row (-n_h, 1), any other (-n_h (d_c / d_u), d_s).
     """
     if _shares_den(h, c_den):
         return -h.num, np.ones(1)
     n_h, d_u, d_s = factor_poles(h)
     quo, rem = npoly.polydiv(c_den, d_u)
     if np.max(np.abs(rem)) > 1e-8 * max(1.0, float(np.max(np.abs(c_den)))):
-        raise NotConverged("error loop: d_u does not divide the controller denominator")
+        return None
     return npoly.polymul(-n_h, quo), d_s
 
 
@@ -411,19 +402,19 @@ def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.nd
 
     Two conditions, both on the assembly before any cancellation:
     every root of the loop characteristic polynomial d_c - lam n_c lies
-    strictly inside the unit circle, and every non-decaying pole of the
-    signal model is cancelled (within 1e-9) by a matching root of
-    n_h d_c, i.e. the controller carries an internal model of the
-    persistent signal dynamics.  Exogenous stable signal poles are
-    allowed to remain: they shape the noise but decay on their own.
-    The second condition does not depend on lam, so it is tested once.
+    strictly inside the unit circle, and the controller carries an
+    internal model of the persistent signal dynamics: the factor d_u of
+    the signal model's non-decaying poles divides d_c, the rule of
+    `_error_row`.  Exogenous stable signal poles are allowed to remain:
+    they shape the noise but decay on their own.  The second condition
+    does not depend on lam, so it is tested once.
 
     Raises AlgebraicLoop unless c is strictly proper.
     """
     if not c.is_strictly_proper:
         raise AlgebraicLoop("controller must be strictly proper")
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if not _carries_internal_model(h, c.den):
+    if _error_row(h, c.den) is None:
         return np.zeros(lams.size, dtype=bool)
     return roots_stable(c.den, c.num, lams)
 
@@ -558,9 +549,10 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     `roots_stable` call factors every loop for the row flags: where
     `loop_stable` fails at any curvature the whole row reads +inf, the
     rule of a summed tracking cost.  One `_h2_table` call scores the
-    `_error_row` of every other cell.  Raises NotConverged where the table
-    finds a cell not stable to working precision or where `_error_row`
-    does, and AlgebraicLoop unless the controllers are strictly proper.
+    `_error_row` of every other cell; where `_error_row` finds no internal
+    model every row reads +inf.  Raises NotConverged where the table finds
+    a cell not stable to working precision, and AlgebraicLoop unless the
+    controllers are strictly proper.
     """
     den = np.asarray(den, dtype=float)
     nums = np.atleast_2d(np.asarray(nums, dtype=float))
@@ -570,7 +562,8 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
         raise AlgebraicLoop("controller must be strictly proper")
     h2_sq = np.full((len(cs), lams.size), np.inf)
     c_den, q = cs[0].den, cs[0].degree
-    if not _carries_internal_model(h, c_den):
+    row = _error_row(h, c_den)
+    if row is None:
         return h2_sq
     padded = np.zeros((len(cs), q))
     for i, c in enumerate(cs):
@@ -581,7 +574,7 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     if rows.size == 0:
         return h2_sq
     cols = np.tile(np.arange(lams.size), len(stable))
-    w_num, s = _error_row(h, c_den)
+    w_num, s = row
     dens = np.tile(c_den, (rows.size, 1))
     dens[:, :q] -= lams[cols, None] * padded[rows]
     if s.size > 1:
@@ -601,8 +594,8 @@ def loop_peaks(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.nda
     """Peak gain of the error loop -h / (1 - lam c), one per lam.
 
     `hinf_norm` of the `_error_row` of each loop where `loop_stable`
-    holds, +inf where it does not.  Raises NotConverged where
-    `_error_row` does, and AlgebraicLoop unless c is strictly proper.
+    holds, +inf where it does not.  Raises AlgebraicLoop unless c is
+    strictly proper.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     stable = loop_stable(h, c, lams)

@@ -75,10 +75,10 @@ def _write_meta(csv_path: str, doc: dict, preset: str | None, seed: int) -> str:
     return _write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def _kalman_mu(cfg: ExperimentConfig, scenario: QuadraticScenario, sigma2: float) -> float:
+def _kalman_mu(cfg: ExperimentConfig, scenario: QuadraticScenario) -> float:
     mode = cfg.trackers.kalman_mu
     if mode == "search":
-        return mu_star_search(scenario.model, sigma2, scenario.spectrum)
+        return mu_star_search(scenario.model, scenario.spectrum)
     if mode == "uniform":
         return mu_star_uniform(scenario.lambda_min, scenario.lambda_max)
     if mode == "eigs":
@@ -96,15 +96,13 @@ def _synthesis_options(cfg: ExperimentConfig, scenario: QuadraticScenario) -> Sy
 def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
     spec = cfg.trackers
     interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
-    sigma2 = scenario.sigma ** 2 if scenario.sigma > 0.0 else 1.0
     out = {}
     if "gd" in spec.use and scenario.model_is_stable:
         alpha = spec.gd_alpha if spec.gd_alpha is not None else 1.0 / scenario.lambda_max
         out["gd"] = make_gd_tracker(alpha)
     if "kalman" in spec.use:
         try:
-            out["kalman"] = make_kalman_tracker(scenario.model, sigma2,
-                                                _kalman_mu(cfg, scenario, sigma2))
+            out["kalman"] = make_kalman_tracker(scenario.model, _kalman_mu(cfg, scenario))
         except NoStabilizingController:
             # spectrum spread exceeds this structure's gain margin; the
             # tracker diverges for every tuning, so its columns stay empty

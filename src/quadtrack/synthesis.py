@@ -198,8 +198,8 @@ def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
     plant = tf_to_ss(ss_num)
     model = StateSpaceSISO(plant.F, plant.G, plant.H, jh)
     try:
-        gain = kalman_gain(model, 1.0)
-        mu = mu_star_search(model, 1.0, lam_grid)
+        gain = kalman_gain(model)
+        mu = mu_star_search(model, lam_grid)
     except (QuadtrackError, np.linalg.LinAlgError):
         return None
     a_desc = np.poly(model.F)

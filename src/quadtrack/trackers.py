@@ -120,19 +120,20 @@ def tracker_step(ctrl: TrackerController, state: TrackerState,
     return ctrl.step(state, g), state.x
 
 
-def kalman_gain(model: StateSpaceSISO, sigma2: float) -> np.ndarray:
+def kalman_gain(model: StateSpaceSISO) -> np.ndarray:
     """Steady-state one-step prediction gain for the signal model.
 
     K = (F P H^T + s2 G j) / (H P H^T + s2 j^2) with P the stabilizing
-    solution of the filtering Riccati equation.  The gain is invariant
-    to the noise scale s2 because P scales linearly with it.
+    solution of the filtering Riccati equation.  P scales linearly with
+    the noise variance s2, so K does not depend on it: the filter is
+    designed at s2 = 1.
     """
-    p = solve_dare(model.F, model.G, model.H, model.j, sigma2)
-    innov = float(model.H @ p @ model.H) + sigma2 * model.j ** 2
-    return (model.F @ p @ model.H + sigma2 * model.G * model.j) / innov
+    p = solve_dare(model.F, model.G, model.H, model.j, 1.0)
+    innov = float(model.H @ p @ model.H) + model.j ** 2
+    return (model.F @ p @ model.H + model.G * model.j) / innov
 
 
-def make_kalman_tracker(model: StateSpaceSISO, sigma2: float, mu: float) -> TrackerController:
+def make_kalman_tracker(model: StateSpaceSISO, mu: float) -> TrackerController:
     """Filter-based tracker: xi+ = F xi - K g / mu, x = H xi.
 
     At curvature mu the loop reproduces the steady-state filter driven by
@@ -142,7 +143,7 @@ def make_kalman_tracker(model: StateSpaceSISO, sigma2: float, mu: float) -> Trac
     """
     if mu <= 0.0:
         raise InvalidBounds("mu must be positive")
-    gain = kalman_gain(model, sigma2)
+    gain = kalman_gain(model)
     f = model.F.copy()
     g = -gain / mu
     h = model.H.copy()
@@ -205,7 +206,7 @@ def mu_star_from_density(samples) -> float:
     return float(np.sum(w * lam ** 2) / np.sum(w * lam))
 
 
-def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
+def mu_star_search(model: StateSpaceSISO, eigs) -> float:
     """Tuned curvature found by minimizing the summed tracking cost itself.
 
     The closed forms above come from a second-order expansion of the cost
@@ -222,16 +223,13 @@ def mu_star_search(model: StateSpaceSISO, sigma2: float, eigs) -> float:
     cell is the reduced row -n_h / loop of `lti._error_row`.
     """
     eigs = _spectrum(eigs)
-    sigma2 = float(sigma2)
-    if sigma2 <= 0.0:
-        raise InvalidBounds("sigma2 must be positive")
     h = ss_to_tf(model)
     # numerator of c_mu scales as 1/mu, so one realization covers all mu
-    base = make_kalman_tracker(model, sigma2, 1.0).tf
+    base = make_kalman_tracker(model, 1.0).tf
 
     def costs(mus):
         h2_sq = loop_h2_stack(h, base.den, [base.num / mu for mu in mus], eigs)
-        return [sigma2 * sum(row) for row in h2_sq.tolist()]
+        return [sum(row) for row in h2_sq.tolist()]
 
     grid = np.geomspace(0.25 * eigs.min(), 8.0 * eigs.max(), 160)
     values = np.array(costs(grid))

@@ -79,7 +79,7 @@ def stable_scenario():
 
 @pytest.fixture(scope="module")
 def mu_star(stable_scenario):
-    return mu_star_search(stable_scenario.model, 1.0, stable_scenario.spectrum)
+    return mu_star_search(stable_scenario.model, stable_scenario.spectrum)
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +142,8 @@ def test_criterion_03_tracker_equals_direct_filter():
     traj = simulate_minimizer(model, 1, horizon, 1.0, RngStream(SEED, STREAM_SIM_BASE))
     c_path = traj.values[:, 0]
 
-    ctrl = make_kalman_tracker(model, 1.0, lam)
-    k = kalman_gain(model, 1.0)
+    ctrl = make_kalman_tracker(model, lam)
+    k = kalman_gain(model)
     state = ctrl.initial_state(1)
     xi = np.zeros(2)
     worst = 0.0
@@ -162,7 +162,7 @@ def test_criterion_04_monte_carlo_confirms_analytic_cost(stable_scenario, mu_sta
     empirical mean within three standard errors.  Under two minutes."""
     t0 = time.monotonic()
     sc = stable_scenario
-    ctrl = make_kalman_tracker(sc.model, 1.0, mu_star)
+    ctrl = make_kalman_tracker(sc.model, mu_star)
     target = analytic_cost(ss_to_tf(sc.model), ctrl.tf, sc.spectrum, 1.0)
     assert np.isfinite(target)
     mean, stderr = empirical_cost(sc, ctrl, 200_000, 10_000, 20,
@@ -182,7 +182,7 @@ def test_criterion_05_nominal_errors_are_white():
     traj = simulate_minimizer(model, 1, horizon, 1.0, RngStream(SEED, STREAM_SIM_BASE))
     c_path = traj.values[:, 0]
 
-    ctrl = make_kalman_tracker(model, 1.0, lam)
+    ctrl = make_kalman_tracker(model, lam)
     state = ctrl.initial_state(1)
     errs = np.empty(horizon)
     for i, c in enumerate(c_path):
@@ -206,10 +206,10 @@ def test_criterion_06_tuned_curvature_is_grid_optimal(stable_scenario, mu_star):
     [0.8 mu*, 1.25 mu*]."""
     sc = stable_scenario
     h = ss_to_tf(sc.model)
-    j_star = analytic_cost(h, make_kalman_tracker(sc.model, 1.0, mu_star).tf,
+    j_star = analytic_cost(h, make_kalman_tracker(sc.model, mu_star).tf,
                            sc.spectrum, 1.0)
     grid = np.linspace(0.8 * mu_star, 1.25 * mu_star, 41)
-    best = min(analytic_cost(h, make_kalman_tracker(sc.model, 1.0, float(m)).tf,
+    best = min(analytic_cost(h, make_kalman_tracker(sc.model, float(m)).tf,
                              sc.spectrum, 1.0) for m in grid)
     assert j_star <= 1.05 * best
 
@@ -240,7 +240,7 @@ def test_criterion_08_model_based_trackers_beat_gradient_descent(stable_scenario
     h = ss_to_tf(sc.model)
 
     gd = make_gd_tracker(1.0 / sc.lambda_max)
-    kalman = make_kalman_tracker(sc.model, 1.0, mu_star)
+    kalman = make_kalman_tracker(sc.model, mu_star)
     opts = SynthesisOptions(starts=4, max_evals=500, seed=SEED)
     hinf = precompensated_synthesize(h, UncertaintyInterval(1.0, 3.5), opts)
 
@@ -271,7 +271,7 @@ def test_criterion_09_persistent_model_separates_the_trackers(unstable_synth):
     # window moves with mu, and the matched point is always inside it
     kalman_total = 0.0
     for lam in grid:
-        ctrl = make_kalman_tracker(model, 1.0, float(lam))
+        ctrl = make_kalman_tracker(model, float(lam))
         assert is_internally_stable(h, ctrl.tf, float(lam))
         kalman_total += h2_norm_sq_exact(closed_loop_error_tf(h, ctrl.tf, float(lam)))
     assert np.isfinite(kalman_total)

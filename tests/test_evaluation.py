@@ -71,7 +71,7 @@ def test_analytic_cost_matches_frequency_integral():
 def test_analytic_cost_is_additive_over_eigenvalues():
     model = stable_model()
     h = ss_to_tf(model)
-    c = make_kalman_tracker(model, 1.0, 2.3).tf
+    c = make_kalman_tracker(model, 2.3).tf
     j12 = analytic_cost(h, c, [1.6, 2.4], 1.0)
     j1 = analytic_cost(h, c, [1.6], 1.0)
     j2 = analytic_cost(h, c, [2.4], 1.0)
@@ -101,9 +101,9 @@ def test_cost_depends_only_on_the_tuning_ratio():
     model = stable_model()
     h = ss_to_tf(model)
     lam, mu = 2.0, 2.2
-    base = analytic_cost(h, make_kalman_tracker(model, 1.0, mu).tf, [lam], 1.0)
+    base = analytic_cost(h, make_kalman_tracker(model, mu).tf, [lam], 1.0)
     for t in (0.5, 2.0):
-        scaled = analytic_cost(h, make_kalman_tracker(model, 1.0, t * mu).tf,
+        scaled = analytic_cost(h, make_kalman_tracker(model, t * mu).tf,
                                [t * lam], 1.0)
         assert scaled == pytest.approx(base, rel=1e-9)
 
@@ -114,7 +114,7 @@ def test_cost_depends_only_on_the_tuning_ratio():
 def test_robust_cost_degenerate_interval_is_single_peak():
     model = stable_model()
     h = ss_to_tf(model)
-    c = make_kalman_tracker(model, 1.0, 4.0).tf
+    c = make_kalman_tracker(model, 4.0).tf
     got = robust_cost(h, c, UncertaintyInterval(3.0, 3.0))
     direct = hinf_norm(closed_loop_error_tf(h, c, 3.0))
     assert got == pytest.approx(direct, rel=1e-9)
@@ -123,7 +123,7 @@ def test_robust_cost_degenerate_interval_is_single_peak():
 def test_robust_cost_monotone_in_the_interval():
     model = stable_model()
     h = ss_to_tf(model)
-    c = make_kalman_tracker(model, 1.0, 4.0).tf
+    c = make_kalman_tracker(model, 4.0).tf
     inner = robust_cost(h, c, UncertaintyInterval(3.0, 3.5))
     outer = robust_cost(h, c, UncertaintyInterval(2.6, 4.4))
     assert np.isfinite(outer)
@@ -133,7 +133,7 @@ def test_robust_cost_monotone_in_the_interval():
 def test_robust_cost_infinite_past_the_gain_margin():
     model = stable_model()
     h = ss_to_tf(model)
-    c = make_kalman_tracker(model, 1.0, 2.0).tf
+    c = make_kalman_tracker(model, 2.0).tf
     # lam / mu reaches 2.2 at the top of the interval, beyond the margin
     assert robust_cost(h, c, UncertaintyInterval(1.0, 4.4)) == float("inf")
 
@@ -141,7 +141,7 @@ def test_robust_cost_infinite_past_the_gain_margin():
 def test_robust_cost_validates_grid():
     model = stable_model()
     h = ss_to_tf(model)
-    c = make_kalman_tracker(model, 1.0, 4.0).tf
+    c = make_kalman_tracker(model, 4.0).tf
     with pytest.raises(InvalidBounds):
         robust_cost(h, c, UncertaintyInterval(1.0, 2.0), grid_n=1)
 
@@ -158,7 +158,7 @@ def test_per_lambda_stability_flags():
 def test_empirical_cost_agrees_with_analytic():
     model = stable_model()
     sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=3)
-    ctrl = make_kalman_tracker(model, 1.0, 2.3)
+    ctrl = make_kalman_tracker(model, 2.3)
     target = analytic_cost(ss_to_tf(model), ctrl.tf, sc.spectrum, 1.0)
     mean, stderr = empirical_cost(sc, ctrl, 20000, 2000, 8,
                                   RngStream(3, STREAM_SIM_BASE))
@@ -169,7 +169,7 @@ def test_empirical_cost_agrees_with_analytic():
 def test_empirical_cost_single_rep_has_zero_stderr():
     model = stable_model()
     sc = make_scenario(1, 2.0, 2.0, model, 1.0, seed=0)
-    ctrl = make_kalman_tracker(model, 1.0, 2.0)
+    ctrl = make_kalman_tracker(model, 2.0)
     mean, stderr = empirical_cost(sc, ctrl, 2000, 100, 1, RngStream(0, STREAM_SIM_BASE))
     assert np.isfinite(mean) and mean > 0.0
     assert stderr == 0.0
@@ -178,7 +178,7 @@ def test_empirical_cost_single_rep_has_zero_stderr():
 def test_empirical_cost_validates_window():
     model = stable_model()
     sc = make_scenario(1, 2.0, 2.0, model, 1.0, seed=0)
-    ctrl = make_kalman_tracker(model, 1.0, 2.0)
+    ctrl = make_kalman_tracker(model, 2.0)
     with pytest.raises(InvalidBounds):
         empirical_cost(sc, ctrl, 100, 100, 2, RngStream(0, 100))
     with pytest.raises(InvalidBounds):
@@ -221,7 +221,7 @@ def test_error_kernel_matches_a_tracker_step_loop_to_roundoff():
     block exactly, and a short final block after several full ones."""
     model = stable_model()
     sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=5)
-    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.3)]
+    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 2.3)]
     size = block_length(sc.n)
     for horizon in (400, 1, size - 1, size, size + 1, 3 * size + 5):
         burnin = horizon // 10
@@ -245,7 +245,7 @@ def test_error_kernel_tracks_a_persistent_model_to_roundoff():
     grows with the path, so the bound scales with its peak |c_k|^2."""
     model = persistent_model()
     sc = make_scenario(3, 2.0, 2.3, model, 1.0, seed=1)
-    ctrl = make_kalman_tracker(model, 1.0, 2.15)
+    ctrl = make_kalman_tracker(model, 2.15)
     assert loop_stable(ss_to_tf(model), ctrl.tf, sc.spectrum).all()
     horizon = 2000
     path = simulate_minimizer(model, sc.n, horizon, sc.sigma, sim_rng()).values
@@ -260,7 +260,7 @@ def test_monte_carlo_never_reads_the_transfer_function():
     Monte Carlo route: it simulates the realization only."""
     model = stable_model()
     sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=5)
-    ctrl = make_kalman_tracker(model, 1.0, 2.3)
+    ctrl = make_kalman_tracker(model, 2.3)
     wrong = dataclasses.replace(ctrl, tf=TransferFunctionSISO([0.7], [0.5, 1.0]))
     assert empirical_cost(sc, ctrl, 700, 70, 2, sim_rng()) == \
         empirical_cost(sc, wrong, 700, 70, 2, sim_rng())
@@ -274,7 +274,7 @@ def test_empirical_cost_reps_are_independent_single_rep_runs():
     for bit, and the mean and stderr are built from those three."""
     model = stable_model()
     sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=5)
-    ctrl = make_kalman_tracker(model, 1.0, 2.3)
+    ctrl = make_kalman_tracker(model, 2.3)
     means = [empirical_cost(sc, ctrl, 500, 50, 1, sim_rng().split(r))[0] for r in range(3)]
     mean, stderr = empirical_cost(sc, ctrl, 500, 50, 3, sim_rng())
     assert mean == float(np.mean(means))
@@ -341,8 +341,8 @@ def test_chunked_kernel_keeps_the_bits_of_the_one_shot_kernel(n):
     the burn-ins start before, on and after a chunk edge."""
     model = stable_model()
     sc = make_scenario(n, 1.5, 2.5, model, 0.7, seed=3)
-    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.5),
-             make_kalman_tracker(model, 1.0, 2.3)]
+    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 2.5),
+             make_kalman_tracker(model, 2.3)]
     assert all(loop_stable(ss_to_tf(model), c.tf, sc.spectrum).all() for c in ctrls)
     block, rows = block_length(n), chunk_rows(n)
     for horizon in (1, block - 1, block, rows - 1, rows, rows + 1, 2 * rows + block + 3):
@@ -379,7 +379,7 @@ def test_simulation_memory_does_not_grow_with_the_horizon():
     path at 32 chunks would be 5 MB."""
     model = stable_model()
     sc = make_scenario(10, 1.5, 2.5, model, 1.0, seed=5)
-    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.3)]
+    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 2.3)]
     trace_extra, cost_peak = [], []
     for horizon in (4 * chunk_rows(sc.n), 32 * chunk_rows(sc.n)):
         trace_extra.append(traced_peak(lambda: error_trace(sc, ctrls, horizon, sim_rng()))
@@ -418,7 +418,7 @@ def test_error_kernel_matches_the_step_loop_on_random_stable_loops(
     if kind == "gd":
         ctrl = make_gd_tracker(alpha / sc.lambda_max)
     else:
-        ctrl = make_kalman_tracker(model, 1.0, 0.5 * (sc.lambda_min + sc.lambda_max))
+        ctrl = make_kalman_tracker(model, 0.5 * (sc.lambda_min + sc.lambda_max))
     assume(loop_stable(ss_to_tf(model), ctrl.tf, sc.spectrum).all())
     size = block_length(n)
     horizon = blocks * size + offset % size + 1
@@ -433,7 +433,7 @@ def test_error_kernel_matches_the_step_loop_on_random_stable_loops(
 def test_error_trace_runs_all_trackers_on_shared_noise():
     model = stable_model()
     sc = make_scenario(2, 1.5, 2.5, model, 1.0, seed=11)
-    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 1.0, 2.3)]
+    ctrls = [make_gd_tracker(0.4), make_kalman_tracker(model, 2.3)]
     traces = error_trace(sc, ctrls, 500, RngStream(11, STREAM_SIM_BASE))
     assert traces.shape == (2, 500)
     assert np.all(traces >= 0.0)
@@ -504,6 +504,6 @@ def test_kalman_tuning_is_grid_optimal_at_the_true_curvature():
     h = ss_to_tf(model)
     lam = 2.25
     grid = np.linspace(0.5 * lam, 2.0 * lam, 41)
-    costs = [analytic_cost(h, make_kalman_tracker(model, 1.0, float(mu)).tf,
+    costs = [analytic_cost(h, make_kalman_tracker(model, float(mu)).tf,
                            [lam], 1.0) for mu in grid]
     assert int(np.argmin(costs)) == int(np.argmin(np.abs(grid - lam)))

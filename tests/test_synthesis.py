@@ -17,6 +17,7 @@ from quadtrack.lti import (
     closed_loop_error_tf,
     hinf_norm,
     is_internally_stable,
+    loop_stable,
     observable_canonical,
     roots_stable,
     ss_to_tf,
@@ -27,6 +28,7 @@ from quadtrack.trackers import (
     controller_from_dict,
     controller_to_dict,
     make_kalman_tracker,
+    mu_star_search,
 )
 
 D_U = np.array([1.0, -2.0 * np.cos(np.pi / 12.0), 1.0])
@@ -55,7 +57,7 @@ def test_synthesis_beats_the_matched_filter_at_a_point():
     h = ss_to_tf(model)
     lam = 2.0
     ctrl = hinf_synthesize(h, UncertaintyInterval(lam, lam), FAST)
-    kalman_peak = robust_cost(h, make_kalman_tracker(model, 1.0, lam).tf,
+    kalman_peak = robust_cost(h, make_kalman_tracker(model, lam).tf,
                               UncertaintyInterval(lam, lam))
     # slack covers the peak-gain routine's own relative 1e-6 accuracy
     assert ctrl.gamma <= kalman_peak * (1.0 + 1e-5)
@@ -138,6 +140,53 @@ def test_precompensated_controller_carries_the_internal_model():
     for lam in ctrl.lambda_grid:
         assert is_internally_stable(h, ctrl.tf, float(lam))
     assert np.isfinite(ctrl.gamma)
+
+
+# persistent factors with repeated roots, which the root finder returns
+# only about 1e-8 exact: a ramp (z - 1)^2 and a double resonance (z^2 + 1)^2
+REPEATED_D_U = {"ramp": [1.0, -2.0, 1.0], "double-resonance": [1.0, 0.0, 2.0, 0.0, 1.0]}
+REPEATED = pytest.mark.parametrize("d_u", REPEATED_D_U.values(), ids=REPEATED_D_U.keys())
+
+
+def repeated_pole_model(d_u):
+    from quadtrack.config import build_scenario, validate_config
+
+    doc = {"scenario": {"n": 2, "lambda_min": 1.0, "lambda_max": 1.5, "sigma": 1.0,
+                        "d_stable": [-0.5, 1.0], "d_unstable": d_u, "j": 1.0, "seed": 1},
+           "run": {"horizon": 100}}
+    return build_scenario(validate_config(doc).scenario).model
+
+
+@REPEATED
+def test_loop_stable_accepts_a_repeated_persistent_factor(d_u):
+    """c = n_K f / (d_u d_cbar) with d_cbar = d_s f: the tuned filter with a
+    stable factor f put in both, so its loop f (d_u d_s - lam n_K) is the
+    filter's, and d_u divides d_c although the roots of the two do not
+    match to 1e-9."""
+    model = repeated_pole_model(d_u)
+    h = ss_to_tf(model)
+    grid = chebyshev_grid(1.0, 1.5, 5)
+    n_k = make_kalman_tracker(model, mu_star_search(model, grid)).tf.num
+    f = np.array([-0.3, 1.0])
+    d_cbar = npoly.polymul([-0.5, 1.0], f)
+    c = TransferFunctionSISO(npoly.polymul(n_k, f), npoly.polymul(d_u, d_cbar), cancel=False)
+    assert loop_stable(h, c, grid).all()
+    assert np.isfinite(robust_cost(h, c, UncertaintyInterval(1.0, 1.5), 5))
+
+
+@REPEATED
+def test_precompensated_synthesis_certifies_a_repeated_persistent_factor(d_u):
+    """The filter start carries d_u, so the search starts from a live point,
+    and the certificate is no worse than the tuned filter tracker's."""
+    model = repeated_pole_model(d_u)
+    h = ss_to_tf(model)
+    interval = UncertaintyInterval(1.0, 1.5)
+    opts = SynthesisOptions(grid_points=5, starts=2, max_evals=300, seed=1)
+    ctrl = precompensated_synthesize(h, interval, opts)
+    assert np.isfinite(ctrl.gamma)
+    assert loop_stable(h, ctrl.tf, ctrl.lambda_grid).all()
+    filt = make_kalman_tracker(model, mu_star_search(model, ctrl.lambda_grid)).tf
+    assert ctrl.gamma <= robust_cost(h, filt, interval, 5)
 
 
 def test_precompensated_rejects_orders_without_freedom():

@@ -94,16 +94,30 @@ def test_gd_tracker_rejects_nonpositive_step():
 # ------------------------------------------------------------------ kalman
 
 
-def test_kalman_gain_is_noise_scale_invariant():
-    model = stable_model()
-    k1 = kalman_gain(model, 1.0)
-    k2 = kalman_gain(model, 7.3)
-    assert np.allclose(k1, k2, rtol=1e-9)
+def test_kalman_gain_is_the_gain_at_any_noise_scale():
+    """The gain is designed at unit noise; P scales with sigma^2, so the
+    gain built from the Riccati solution at sigma^2 = 7.3 is the same."""
+    from quadtrack.control_math import solve_dare
+
+    s2 = 7.3
+    for model in (stable_model(), unstable_model()):
+        p = solve_dare(model.F, model.G, model.H, model.j, s2)
+        innov = float(model.H @ p @ model.H) + s2 * model.j ** 2
+        k = (model.F @ p @ model.H + s2 * model.G * model.j) / innov
+        assert np.allclose(kalman_gain(model), k, rtol=1e-9, atol=0.0)
+
+
+def test_kalman_gain_with_a_subnormal_feedthrough_is_quiet():
+    """F = 0, G = H = 1: P = 1 and K = j / (1 + j^2) = j.  With j subnormal
+    g h / j overflows, so the DARE takes its iteration, without a warning."""
+    j = 2.225073858507203e-309
+    model = StateSpaceSISO(np.zeros((1, 1)), np.ones(1), np.ones(1), j)
+    assert kalman_gain(model).tolist() == [j]
 
 
 def test_kalman_gain_stabilizes_the_predictor():
     for model in (stable_model(), unstable_model()):
-        k = kalman_gain(model, 1.0)
+        k = kalman_gain(model)
         ev = np.linalg.eigvals(model.F - np.outer(k, model.H))
         assert np.max(np.abs(ev)) < 1.0
 
@@ -111,8 +125,8 @@ def test_kalman_gain_stabilizes_the_predictor():
 def test_kalman_tracker_transfer_function_is_scaled_resolvent():
     model = stable_model()
     mu = 2.0
-    ctrl = make_kalman_tracker(model, 1.0, mu)
-    k = kalman_gain(model, 1.0)
+    ctrl = make_kalman_tracker(model, mu)
+    k = kalman_gain(model)
     m = model.F.shape[0]
     for z in (1.2 + 0.5j, -0.9 + 0.7j, 2.0 + 0.0j):
         direct = -model.H @ np.linalg.solve(z * np.eye(m) - model.F, k) / mu
@@ -123,8 +137,8 @@ def test_kalman_tracker_transfer_function_is_scaled_resolvent():
 
 def test_kalman_tracker_numerator_scales_with_mu():
     model = stable_model()
-    base = make_kalman_tracker(model, 1.0, 1.0)
-    scaled = make_kalman_tracker(model, 1.0, 4.0)
+    base = make_kalman_tracker(model, 1.0)
+    scaled = make_kalman_tracker(model, 4.0)
     assert np.allclose(scaled.tf.num, base.tf.num / 4.0, rtol=1e-12)
     assert np.allclose(scaled.tf.den, base.tf.den, rtol=1e-12)
 
@@ -134,8 +148,8 @@ def test_kalman_tracker_at_nominal_tuning_runs_the_filter():
     predictor driven by the measured minimizer."""
     model = stable_model()
     lam = 2.5
-    ctrl = make_kalman_tracker(model, 1.0, lam)
-    k = kalman_gain(model, 1.0)
+    ctrl = make_kalman_tracker(model, lam)
+    k = kalman_gain(model)
 
     rng = np.random.default_rng(8)
     c_path = rng.standard_normal(300)
@@ -150,7 +164,7 @@ def test_kalman_tracker_at_nominal_tuning_runs_the_filter():
 
 def test_kalman_tracker_rejects_nonpositive_mu():
     with pytest.raises(InvalidBounds):
-        make_kalman_tracker(stable_model(), 1.0, 0.0)
+        make_kalman_tracker(stable_model(), 0.0)
 
 
 # ----------------------------------------------------------------- tunings
@@ -194,7 +208,7 @@ def test_mu_star_search_recovers_nominal_tuning():
     # a one-point spectrum is minimized by the matched filter, mu = lambda
     model = stable_model()
     for lam in (1.0, 2.25, 3.5):
-        mu = mu_star_search(model, 1.0, [lam])
+        mu = mu_star_search(model, [lam])
         assert mu == pytest.approx(lam, rel=1e-6)
 
 
@@ -204,10 +218,10 @@ def test_mu_star_search_never_loses_to_the_closed_form():
     model = stable_model()
     h = ss_to_tf(model)
     eigs = np.linspace(1.0, 3.3, 7)
-    mu_s = mu_star_search(model, 1.0, eigs)
+    mu_s = mu_star_search(model, eigs)
     mu_c = mu_star_from_eigs(eigs)
-    cost_s = analytic_cost(h, make_kalman_tracker(model, 1.0, mu_s).tf, eigs, 1.0)
-    cost_c = analytic_cost(h, make_kalman_tracker(model, 1.0, mu_c).tf, eigs, 1.0)
+    cost_s = analytic_cost(h, make_kalman_tracker(model, mu_s).tf, eigs, 1.0)
+    cost_c = analytic_cost(h, make_kalman_tracker(model, mu_c).tf, eigs, 1.0)
     assert np.isfinite(cost_s)
     # the expansion-based tuning overshoots into instability on this spread
     assert cost_s <= cost_c
@@ -216,15 +230,15 @@ def test_mu_star_search_never_loses_to_the_closed_form():
 def test_mu_star_search_is_deterministic():
     model = stable_model()
     eigs = np.linspace(1.0, 3.5, 5)
-    assert mu_star_search(model, 1.0, eigs) == mu_star_search(model, 1.0, eigs)
+    assert mu_star_search(model, eigs) == mu_star_search(model, eigs)
 
 
 def test_mu_star_search_stabilizes_a_narrow_unstable_spread():
     model = unstable_model(j=1.85)
     eigs = np.array([2.0, 2.6, 3.3])
-    mu = mu_star_search(model, 1.0, eigs)
+    mu = mu_star_search(model, eigs)
     h = ss_to_tf(model)
-    c = make_kalman_tracker(model, 1.0, mu).tf
+    c = make_kalman_tracker(model, mu).tf
     assert all(is_internally_stable(h, c, lam) for lam in eigs)
 
 
@@ -232,7 +246,7 @@ def test_mu_star_search_raises_beyond_the_gain_margin():
     # one curvature knob cannot cover [1, 3.3] for this persistent model
     model = unstable_model(j=1.0)
     with pytest.raises(NoStabilizingController):
-        mu_star_search(model, 1.0, np.array([1.0, 2.15, 3.3]))
+        mu_star_search(model, np.array([1.0, 2.15, 3.3]))
 
 
 def test_mu_star_search_keeps_the_refinements_inf_arithmetic_quiet():
@@ -249,10 +263,10 @@ def test_mu_star_search_keeps_the_refinements_inf_arithmetic_quiet():
     model = build_scenario(validate_config(doc).scenario).model
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert mu_star_search(model, 1.0, chebyshev_grid(1.0, 3.5, 9)) == 3.5000056121581493
+        assert mu_star_search(model, chebyshev_grid(1.0, 3.5, 9)) == 3.5000056121581493
 
 
-def reference_mu_star_search(model, sigma2, eigs):
+def reference_mu_star_search(model, eigs):
     """The tuning search as it was before the stacked kernel: one scalar
     cost evaluation per candidate curvature."""
     from scipy.optimize import minimize_scalar
@@ -261,14 +275,13 @@ def reference_mu_star_search(model, sigma2, eigs):
 
     eigs = np.asarray(eigs, dtype=float)
     h = ss_to_tf(model)
-    base = make_kalman_tracker(model, sigma2, 1.0).tf
+    base = make_kalman_tracker(model, 1.0).tf
 
     def cost(mu):
         c = TransferFunctionSISO(base.num / mu, base.den)
         if not loop_stable(h, c, eigs).all():
             return float("inf")
-        return sigma2 * sum(h2_norm_sq_exact(closed_loop_error_tf(h, c, float(lam)))
-                            for lam in eigs)
+        return sum(h2_norm_sq_exact(closed_loop_error_tf(h, c, float(lam))) for lam in eigs)
 
     grid = np.geomspace(0.25 * eigs.min(), 8.0 * eigs.max(), 160)
     values = np.array([cost(m) for m in grid])
@@ -301,17 +314,15 @@ def test_mu_star_search_matches_the_per_mu_scan_bit_for_bit(scenario, grid):
            "run": {"horizon": 100}}
     sc = build_scenario(validate_config(doc).scenario)
     eigs = chebyshev_grid(sc.spectrum.min(), sc.spectrum.max(), 9) if grid else sc.spectrum
-    assert mu_star_search(sc.model, 1.0, eigs) == reference_mu_star_search(sc.model, 1.0, eigs)
+    assert mu_star_search(sc.model, eigs) == reference_mu_star_search(sc.model, eigs)
 
 
 def test_mu_star_search_validates_inputs():
     model = stable_model()
     with pytest.raises(InvalidSpectrum):
-        mu_star_search(model, 1.0, [])
+        mu_star_search(model, [])
     with pytest.raises(InvalidSpectrum):
-        mu_star_search(model, 1.0, [1.0, -1.0])
-    with pytest.raises(InvalidBounds):
-        mu_star_search(model, 0.0, [1.0])
+        mu_star_search(model, [1.0, -1.0])
 
 
 # a bowl flat to 1e-3 around its centre: ties put the parabola's vertex on
@@ -372,7 +383,7 @@ def test_factor_poles_constant():
 
 def test_controller_dict_roundtrip_preserves_behavior():
     model = stable_model()
-    ctrl = make_kalman_tracker(model, 1.0, 2.808)
+    ctrl = make_kalman_tracker(model, 2.808)
     ctrl.gamma = 5.5
     ctrl.lambda_grid = np.array([1.0, 2.0, 3.5])
     doc = controller_to_dict(ctrl)
