@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .control_math import STABILITY_MARGIN, polynomial_roots
+from .control_math import STABILITY_MARGIN, polynomial_roots, root_centroids
 from .errors import ConfigError
 from .lti import StateSpaceSISO, observable_canonical
 from .scenario import QuadraticScenario, make_scenario
@@ -144,20 +144,28 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
     if sigma < 0.0:
         raise ConfigError(f"{_ctx(path, 'sigma')} must be nonnegative")
     d_stable = _as_poly(_get(doc, "d_stable", path, False, [1.0]), _ctx(path, "d_stable"))
-    if (d_stable.size > 1
-            and np.max(np.abs(polynomial_roots(d_stable))) >= 1.0 - STABILITY_MARGIN):
+    stable_roots = polynomial_roots(d_stable) if d_stable.size > 1 else np.zeros(0)
+    if np.max(np.abs(stable_roots), initial=0.0) >= 1.0 - STABILITY_MARGIN:
         raise ConfigError(f"{_ctx(path, 'd_stable')} must have all roots strictly inside "
                           f"the unit circle")
     d_unstable = _as_poly(_get(doc, "d_unstable", path, False, [1.0]),
                           _ctx(path, "d_unstable"))
     if d_unstable.size > 1:
-        # persistent modes sit on the circle; a growing one would overflow the simulation
-        moduli = np.abs(polynomial_roots(d_unstable))
-        if np.min(moduli) < 1.0 - STABILITY_MARGIN or np.max(moduli) > 1.0 + STABILITY_MARGIN:
+        # persistent modes sit on the circle; a growing one would overflow the simulation.
+        # Each root is classified as `lti.factor_poles` does, by its cluster's centroid,
+        # so a d_stable root in a persistent cluster would be misread
+        k = d_unstable.size - 1
+        centroids = root_centroids(np.concatenate([polynomial_roots(d_unstable), stable_roots]))
+        modes, moduli = centroids[:k], np.abs(centroids)
+        if (np.min(moduli[:k]) < 1.0 - STABILITY_MARGIN
+                or np.max(moduli) > 1.0 + STABILITY_MARGIN
+                or np.max(moduli[k:], initial=0.0) >= 1.0 - STABILITY_MARGIN):
             raise ConfigError(f"{_ctx(path, 'd_unstable')} roots must all have modulus "
-                              f"within {STABILITY_MARGIN:g} of 1 (persistent modes)")
+                              f"within {STABILITY_MARGIN:g} of 1 (persistent modes), with "
+                              f"no root of {_ctx(path, 'd_stable')} within 1e-5 of one")
     j = _as_real(_get(doc, "j", path, True), _ctx(path, "j"))
     g = _get(doc, "g", path, False, "ones")
+    order = d_stable.size + d_unstable.size - 2
     if isinstance(g, str):
         if g != "ones":
             raise ConfigError(f"{_ctx(path, 'g')} must be \"ones\" or a coefficient list")
@@ -165,18 +173,23 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
         if not isinstance(g, (list, tuple)) or len(g) == 0:
             raise ConfigError(f"{_ctx(path, 'g')} must be \"ones\" or a coefficient list")
         g = [_as_real(v, _ctx(path, "g")) for v in g]
-        order = d_stable.size + d_unstable.size - 2
         if len(g) != order:
             raise ConfigError(f"{_ctx(path, 'g')} must have length {order} "
                               f"(the model order), got {len(g)}")
         if j == 0.0 and not any(g):
             raise ConfigError(f"{_ctx(path, 'g')} is all zeros and j is 0: the signal "
                               f"model is zero, so the minimizer never moves")
+    # h = b / (d_u d_s) + j, and the observable realization's b is g reversed; where
+    # b vanishes at a persistent root, that mode is never excited, whatever j is
+    b = np.ones(order) if isinstance(g, str) else np.array(g[::-1])
+    if d_unstable.size > 1 and min(abs(npoly.polyval(modes, b))) <= 1e-8 * sum(abs(b)):
+        raise ConfigError(f"{_ctx(path, 'g')} hides a persistent mode: the signal model's "
+                          f"numerator vanishes at a root of {_ctx(path, 'd_unstable')}")
     seed = _as_int(_get(doc, "seed", path, True), _ctx(path, "seed"))
     if not -(1 << 63) <= seed < 1 << 63:
         # RngStream keys on the seed modulo 2^64, which is one-to-one on this range
         raise ConfigError(f"{_ctx(path, 'seed')} must be in [-2^63, 2^63), got {seed}")
-    if d_stable.size + d_unstable.size - 2 < 1:
+    if order < 1:
         raise ConfigError(f"{path}: model order is zero; give d_stable or d_unstable "
                           f"a root")
     return ScenarioSpec(n, lambda_min, lambda_max, sigma, d_stable, d_unstable,

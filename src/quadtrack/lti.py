@@ -1,7 +1,8 @@
 """Scalar discrete-time LTI machinery.
 
 Transfer functions are ratios of real polynomials in z, stored ascending
-(``num[k]`` multiplies ``z**k``) with a monic denominator.  State-space
+(``num[k]`` multiplies ``z**k``) with a monic denominator, and never
+reduced: a root shared by numerator and denominator stays.  State-space
 models are single-input single-output quadruples (F, G, H, j).  The unit
 circle is the stability boundary; `control_math.STABILITY_MARGIN` separates
 "stable" from "not" everywhere in this module.  Peak gains are sampled on
@@ -15,8 +16,9 @@ to roundoff.  Every cost of an error loop -h / (1 - lam c) is read from
 that row, with no root cancellation: every summed H2 cost from one kernel,
 `loop_h2_stack`, which scores all the stable cells of a (controllers x
 curvatures) grid with one Astrom-Jury table, `_h2_table`, and every peak
-gain from `loop_peaks`.  The cancelled form `closed_loop_error_tf` and the
-one-row `h2_norm_sq_exact` stay public as the tests' per-curvature oracle.
+gain from `loop_peaks`, `hinf_norm` of `closed_loop_error_tf`, the row as
+a transfer function.  `closed_loop_error_tf` and the one-row
+`h2_norm_sq_exact` are also the tests' per-curvature oracle.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .control_math import STABILITY_MARGIN, polynomial_roots
+from .control_math import STABILITY_MARGIN, polynomial_roots, root_centroids
 from .errors import AlgebraicLoop, DimensionMismatch, NotConverged
 
 __all__ = [
@@ -45,8 +47,6 @@ __all__ = [
     "loop_peaks",
 ]
 
-CANCEL_TOL = 1e-9
-
 
 def _trim(c) -> np.ndarray:
     """Drop trailing (highest-power) coefficients at roundoff level."""
@@ -60,71 +60,16 @@ def _trim(c) -> np.ndarray:
     return np.array(c[: keep[-1] + 1], dtype=float)
 
 
-def _match_roots(num_roots, den_roots, tol):
-    """Greedy pairing of nearby roots; returns (matched_num, matched_den)."""
-    den_order = sorted(range(len(den_roots)), key=lambda i: (den_roots[i].real, den_roots[i].imag))
-    free = list(range(len(num_roots)))
-    m_num, m_den = [], []
-    for i in den_order:
-        if not free:
-            break
-        dists = [abs(num_roots[k] - den_roots[i]) for k in free]
-        kbest = int(np.argmin(dists))
-        if dists[kbest] <= tol:
-            m_num.append(num_roots[free[kbest]])
-            m_den.append(den_roots[i])
-            free.pop(kbest)
-    return m_num, m_den
-
-
-def _deflate(coeffs, roots):
-    """Divide out the monic factor built from `roots`; None if it fails."""
-    factor = npoly.polyfromroots(np.asarray(roots, dtype=complex))
-    quo, rem = npoly.polydiv(coeffs.astype(complex), factor)
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(np.abs(rem)) > 1e-8 * scale:
-        return None
-    if np.max(np.abs(quo.imag)) > 1e-8 * max(1.0, float(np.max(np.abs(quo.real)))):
-        return None
-    return quo.real
-
-
-def _cancel_common_roots(num, den, tol=CANCEL_TOL, num_roots=None, den_roots=None):
-    """Remove root pairs shared by num and den up to `tol`.
-
-    Root lists may be supplied when the caller knows them factor-wise
-    (more accurate than re-solving the multiplied-out polynomials).
-    Returns the inputs unchanged when nothing cancels, so exact
-    coefficient identities survive the no-op path.
-    """
-    if len(num) < 2 or len(den) < 2:
-        return num, den
-    if num_roots is None:
-        num_roots = list(polynomial_roots(num))
-    if den_roots is None:
-        den_roots = list(polynomial_roots(den))
-    m_num, m_den = _match_roots(list(num_roots), list(den_roots), tol)
-    if not m_num:
-        return num, den
-    new_num = _deflate(num, m_num)
-    new_den = _deflate(den, m_den)
-    if new_num is None or new_den is None:
-        return num, den
-    return _trim(new_num), _trim(new_den)
-
-
 class TransferFunctionSISO:
     """Proper rational function b(z)/a(z) with real coefficients.
 
-    The denominator is normalized monic and stored common root pairs are
-    cancelled at tolerance 1e-9, so two functions built from different
-    factorizations of the same reduced ratio compare equal coefficient-wise
-    up to roundoff.
+    The denominator is normalized monic and nothing else is reduced: a root
+    that num and den share stays in both, so a function is what it says.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den, cancel: bool = True):
+    def __init__(self, num, den):
         num = np.asarray(num, dtype=float)
         den = np.asarray(den, dtype=float)
         if not (np.isfinite(num).all() and np.isfinite(den).all()):
@@ -143,11 +88,6 @@ class TransferFunctionSISO:
             raise ValueError(
                 f"improper transfer function: deg num {num.size - 1} > deg den {den.size - 1}"
             )
-        elif cancel:
-            num, den = _cancel_common_roots(num, den)
-            lead = den[-1]
-            num = num / lead
-            den = den / lead
         self.num = num
         self.den = den
 
@@ -171,11 +111,6 @@ class TransferFunctionSISO:
         if self.degree == 0:
             return np.zeros(0, dtype=complex)
         return polynomial_roots(self.den)
-
-    def zeros(self) -> np.ndarray:
-        if self.is_zero or self.num.size == 1:
-            return np.zeros(0, dtype=complex)
-        return polynomial_roots(self.num)
 
     def __call__(self, z):
         return npoly.polyval(z, self.num) / npoly.polyval(z, self.den)
@@ -299,36 +234,6 @@ def _shares_den(h: TransferFunctionSISO, den: np.ndarray) -> bool:
     return den.size == h.den.size and np.allclose(den, h.den, rtol=0.0, atol=1e-12 * den_scale)
 
 
-def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
-                         lam: float) -> TransferFunctionSISO:
-    """Noise-to-error transfer function -h / (1 - lam * c).
-
-    Assembled as -n_h d_c / (d_h (d_c - lam n_c)) with common factors
-    cancelled.  When the controller reuses the signal model denominator
-    (d_c == d_h coefficient-wise) the duplicate factor is cancelled
-    symbolically, which keeps repeated-root cases exact.
-
-    Raises AlgebraicLoop unless c is strictly proper.
-    """
-    if not c.is_strictly_proper:
-        raise AlgebraicLoop("controller must be strictly proper")
-    loop = _loop_char(c, lam)
-    if _shares_den(h, c.den):
-        return TransferFunctionSISO(-h.num, loop)
-    num_raw = -npoly.polymul(h.num, c.den)
-    den_raw = npoly.polymul(h.den, loop)
-    if h.is_zero:
-        return TransferFunctionSISO(np.zeros(1), den_raw)
-    num_hint = np.concatenate([np.atleast_1d(h.zeros()), np.atleast_1d(c.poles())])
-    den_hint = np.concatenate([
-        np.atleast_1d(h.poles()),
-        polynomial_roots(loop) if loop.size > 1 else np.zeros(0, dtype=complex),
-    ])
-    num, den = _cancel_common_roots(_trim(num_raw), _trim(den_raw),
-                                    num_roots=num_hint, den_roots=den_hint)
-    return TransferFunctionSISO(num, den, cancel=False)
-
-
 def _loop_roots(den: np.ndarray, nums: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Roots of den(z) - lam * nums(z) per lam, as `polynomial_roots` finds them.
 
@@ -362,15 +267,16 @@ def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
 def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split h = n / (d_u d_s) by pole modulus at the stability margin.
 
-    Returns (n, d_u, d_s) with d_u, d_s monic; d_u collects every pole of
-    modulus >= 1 - STABILITY_MARGIN and reduces to the constant 1 when h
-    is stable.
+    Returns (n, d_u, d_s) with d_u, d_s monic; d_u collects every pole
+    whose cluster centroid (`control_math.root_centroids`, so each copy of
+    a multiple root goes the same way) has modulus >= 1 - STABILITY_MARGIN,
+    and reduces to the constant 1 when h is stable.
     A stable h keeps its own denominator as d_s: rebuilding it from its
     roots would perturb the coefficients at roundoff level, and synthesis
     results follow those coefficients.
     """
     poles = h.poles().astype(complex)
-    unstable = np.abs(poles) >= 1.0 - STABILITY_MARGIN
+    unstable = np.abs(root_centroids(poles)) >= 1.0 - STABILITY_MARGIN
     if not unstable.any():
         return h.num.copy(), np.ones(1), h.den.copy()
     d_u, d_s = npoly.polyfromroots(poles[unstable]), npoly.polyfromroots(poles[~unstable])
@@ -397,17 +303,34 @@ def _error_row(h: TransferFunctionSISO, c_den: np.ndarray) -> tuple | None:
     return npoly.polymul(-n_h, quo), d_s
 
 
+def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
+                         lam: float) -> TransferFunctionSISO:
+    """Noise-to-error transfer function -h / (1 - lam * c), with no root cancellation.
+
+    The `_error_row` row w_num / (s (d_c - lam n_c)).  Where the controller
+    does not carry the internal model it is the unreduced
+    -n_h d_c / (d_h (d_c - lam n_c)), which keeps the persistent poles, so
+    its norms read +inf.
+
+    Raises AlgebraicLoop unless c is strictly proper.
+    """
+    if not c.is_strictly_proper:
+        raise AlgebraicLoop("controller must be strictly proper")
+    row = _error_row(h, c.den)
+    w_num, s = row if row is not None else (-npoly.polymul(h.num, c.den), h.den)
+    return TransferFunctionSISO(w_num, npoly.polymul(s, _loop_char(c, lam)))
+
+
 def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
     """Internal stability of the (h, lam, c) error loop, one flag per lam.
 
-    Two conditions, both on the assembly before any cancellation:
-    every root of the loop characteristic polynomial d_c - lam n_c lies
-    strictly inside the unit circle, and the controller carries an
-    internal model of the persistent signal dynamics: the factor d_u of
-    the signal model's non-decaying poles divides d_c, the rule of
-    `_error_row`.  Exogenous stable signal poles are allowed to remain:
-    they shape the noise but decay on their own.  The second condition
-    does not depend on lam, so it is tested once.
+    Two conditions: every root of the loop characteristic polynomial
+    d_c - lam n_c lies strictly inside the unit circle, and the controller
+    carries an internal model of the persistent signal dynamics: the
+    factor d_u of the signal model's non-decaying poles divides d_c, the
+    rule of `_error_row`.  Exogenous stable signal poles are allowed to
+    remain: they shape the noise but decay on their own.  The second
+    condition does not depend on lam, so it is tested once.
 
     Raises AlgebraicLoop unless c is strictly proper.
     """
@@ -545,7 +468,7 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     """Squared H2 norms of the error loops of the controllers nums[i] / den.
 
     Returns a (controllers x curvatures) array.  Row i belongs to
-    c_i = TransferFunctionSISO(nums[i], den, cancel=False).  One
+    c_i = TransferFunctionSISO(nums[i], den).  One
     `roots_stable` call factors every loop for the row flags: where
     `loop_stable` fails at any curvature the whole row reads +inf, the
     rule of a summed tracking cost.  One `_h2_table` call scores the
@@ -557,7 +480,7 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     den = np.asarray(den, dtype=float)
     nums = np.atleast_2d(np.asarray(nums, dtype=float))
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    cs = [TransferFunctionSISO(num, den, cancel=False) for num in nums]
+    cs = [TransferFunctionSISO(num, den) for num in nums]
     if not all(c.is_strictly_proper for c in cs):
         raise AlgebraicLoop("controller must be strictly proper")
     h2_sq = np.full((len(cs), lams.size), np.inf)
@@ -593,16 +516,13 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
 def loop_peaks(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
     """Peak gain of the error loop -h / (1 - lam c), one per lam.
 
-    `hinf_norm` of the `_error_row` of each loop where `loop_stable`
-    holds, +inf where it does not.  Raises AlgebraicLoop unless c is
-    strictly proper.
+    `hinf_norm` of `closed_loop_error_tf`, the `_error_row` of each loop,
+    where `loop_stable` holds, +inf where it does not.  Raises AlgebraicLoop
+    unless c is strictly proper.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     stable = loop_stable(h, c, lams)
     peaks = np.full(lams.size, np.inf)
-    if stable.any():
-        w_num, s = _error_row(h, c.den)
-        for k in np.flatnonzero(stable):
-            den = npoly.polymul(s, _loop_char(c, float(lams[k])))
-            peaks[k] = hinf_norm(TransferFunctionSISO(w_num, den, cancel=False))
+    for k in np.flatnonzero(stable):
+        peaks[k] = hinf_norm(closed_loop_error_tf(h, c, float(lams[k])))
     return peaks

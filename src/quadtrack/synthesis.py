@@ -182,11 +182,10 @@ def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
 
     The filter controller's denominator is the full model characteristic
     polynomial d_u d_s, so dividing out d_u / p leaves cbar = n_K / (p d_s)
-    exactly; the numerator is taken from the determinant identity before
-    any root cancellation can disturb it.  The curvature knob is tuned
-    against the synthesis grid itself, so whenever the filter structure
-    can stabilize the whole grid the start is live, not a dead point the
-    search must first escape.  A constant h (white-noise signal) has no
+    exactly; the numerator is taken from the determinant identity.  The
+    curvature knob is tuned against the synthesis grid itself, so whenever
+    the filter structure can stabilize the whole grid the start is live,
+    not a dead point the search must first escape.  A constant h (white-noise signal) has no
     filter to start from, so the search uses its random starts.
     """
     m = h.degree
@@ -194,7 +193,7 @@ def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
         return None
     jh = h.num[m] if h.num.size == m + 1 else 0.0
     sp = npoly.polysub(h.num, jh * h.den)[: m]
-    ss_num = TransferFunctionSISO(sp, h.den, cancel=False)
+    ss_num = TransferFunctionSISO(sp, h.den)
     plant = tf_to_ss(ss_num)
     model = StateSpaceSISO(plant.F, plant.G, plant.H, jh)
     try:
@@ -297,7 +296,7 @@ def precompensated_synthesize(h: TransferFunctionSISO, interval: UncertaintyInte
             finalists.append(obj.best_v)
 
     # certify each finalist with the full-precision peak gain; c is strictly proper:
-    # deg(p n_cbar) < deg(d_u d_cbar), and cancellation lowers both degrees alike
+    # deg(p n_cbar) < deg(d_u d_cbar)
     best = None
     for v in finalists:
         n_cbar, d_cbar = obj.split(v)

@@ -123,7 +123,7 @@ def test_criterion_02_norm_oracles_agree():
             poles.append(complex(rng.uniform(-0.95, 0.95)))
         den = npoly.polyfromroots(np.asarray(poles, dtype=complex)).real
         num = rng.standard_normal(deg)
-        w = TransferFunctionSISO(num, den, cancel=False)
+        w = TransferFunctionSISO(num, den)
 
         exact = h2_norm_sq_exact(w)
         approx = h2_norm_sq_freq(w, 2 ** 14)

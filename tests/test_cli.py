@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from quadtrack.cli import main
 from quadtrack.runner import _TRACE_ROWS, TRACE_HEADER, _fmt, _trace_csv_parts, _write_text
@@ -86,6 +87,47 @@ def test_zero_signal_model_is_rejected(tmp_path, capsys, command, scenario, run)
     assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
 
+@pytest.mark.parametrize("command", ["run", "synthesize"])
+@pytest.mark.parametrize("scenario", [
+    {"d_unstable": [-1.0, 1.0], "j": 0.0, "g": [1.0, -1.0]},
+    {"d_unstable": [-1.0, 1.0], "j": 1.0, "g": [0.0, 0.0]},
+    {"d_unstable": [1.0, -2.0, 1.0], "j": 0.5, "g": [0.0, 1.0, -1.0]},
+], ids=["z-1", "zero-g", "ramp-z-1"])
+def test_signal_model_hiding_a_persistent_mode_is_rejected(tmp_path, capsys, command, scenario):
+    # the signal numerator b (g reversed) vanishes at a root of d_unstable,
+    # so the noise never excites that mode; whether a tracker must carry it
+    # has no answer, so the config is refused whatever j is
+    doc = {
+        "scenario": {**stable_scenario(), **scenario},
+        "trackers": {"use": ["kalman", "hinf"], "hinf_grid": 5, "synthesis_max_evals": 100},
+        "run": {"horizon": 100},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    args = {"run": ["run", "--config", cfg],
+            "synthesize": ["synthesize", "--config", cfg,
+                           "--out", str(tmp_path / "controller.json")]}[command]
+    assert main(args) == 1
+    assert "scenario.g" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
+
+
+def test_signal_model_hiding_a_stable_mode_still_runs(tmp_path):
+    # b = z - 0.5 hides the stable pole of d_stable only: the model keeps
+    # that pole-zero pair, and every cell is filled
+    doc = {
+        "scenario": {**stable_scenario(), "d_unstable": [-1.0, 1.0], "j": 0.0, "g": [1.0, -0.5]},
+        "trackers": {"use": ["kalman", "hinf"], "hinf_grid": 5, "synthesis_max_evals": 200},
+        "run": {"horizon": 400,
+                "sweep": {"param": "lambda_max", "lo": 2.0, "hi": 2.0, "points": 1}},
+        "output": {"dir": str(tmp_path)},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 0
+    row = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert all(row[3:7])  # the hinf and kalman cells, analytic and Monte Carlo
+
+
 def test_growing_signal_mode_is_rejected(tmp_path, capsys):
     # a d_unstable root at 1.2 grows without bound: the analytic cells stay
     # finite while the simulation overflows
@@ -103,10 +145,11 @@ def test_growing_signal_mode_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "synthesize"])
 def test_hinf_synthesis_on_a_white_noise_signal(tmp_path, capsys, command):
-    # g = 0 with j = 1: h is the constant 1, so there is no filter to start
-    # the synthesis from.  The filter's gain is zero, and no feedback also
-    # gives the least peak gain, 1; both loops leave the error -w, so both
-    # cost n sigma^2 = 3
+    # g = 0 with j = 1: h is d_s / d_s, white noise written over the model's
+    # own stable poles.  The filter's gain is zero, so
+    # the synthesis starts from the zero controller over d_s, and no feedback
+    # also gives the least peak gain, 1; both loops leave the error -w, so
+    # both cost n sigma^2 = 3
     doc = {
         "scenario": {"n": 3, "lambda_max": 2.0, "sigma": 1.0, "d_stable": [0.45, -1.4, 1.0],
                      "g": [0.0, 0.0], "j": 1.0, "seed": 1},
@@ -124,8 +167,8 @@ def test_hinf_synthesis_on_a_white_noise_signal(tmp_path, capsys, command):
     else:
         out = str(tmp_path / "controller.json")
         assert main(["synthesize", "--config", cfg, "--out", out]) == 0
-        # the synthesized controller is about 2e-18 / (z - 0.04), so the
-        # certified peak is 1 + 5e-18: 1 up to the rounding of its row
+        # the synthesized controller is the zero start 0 / d_s or one within
+        # roundoff of it, so the certified peak is 1 up to the rounding of its row
         text = capsys.readouterr().out
         assert text.startswith("Jhat = ")
         assert float(text.split()[2]) == pytest.approx(1.0, rel=1e-15)
@@ -417,6 +460,45 @@ def test_evaluate_table_on_a_partly_stable_grid(tmp_path, capsys):
             assert float(h2) > 0.0 and float(hinf) > 0.0
         else:
             assert h2 == "" and hinf == ""
+
+
+def evaluate_figures(tmp_path, capsys, name, num, den):
+    """The printed figures and the table rows of `tracker evaluate` for the
+    stored controller num / den on a stable two-pole model over [1, 2]."""
+    ctrl_path = tmp_path / f"{name}.json"
+    ctrl_path.write_text(json.dumps({"num": list(num), "den": list(den)}), encoding="utf-8")
+    doc = {"scenario": {"n": 3, "lambda_max": 2.0, "sigma": 1.0, "d_stable": [0.45, -1.4, 1.0],
+                        "j": 0.5, "seed": 1},
+           "trackers": {"hinf_grid": 5}, "run": {"horizon": 400, "burnin": 20, "reps": 1},
+           "output": {"dir": str(tmp_path / name)}}
+    cfg = write_config(tmp_path / f"{name}-config.json", doc)
+    assert main(["evaluate", "--controller", str(ctrl_path), "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    figures = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    table = (tmp_path / name / "evaluation.csv").read_text(encoding="utf-8").splitlines()[1:]
+    return figures, [row.split(",") for row in table]
+
+
+@pytest.mark.parametrize("r", [1.2, 0.7])
+def test_evaluate_keeps_a_stored_pole_zero_pair(tmp_path, capsys, r):
+    # -0.3 (z - r) / ((z - r)(z - 0.6)) is -0.3 / (z - 0.6) only while the
+    # pair is stable: at r = 1.2 the stored controller carries a growing
+    # mode, so no loop is stable; at r = 0.7 it costs what the reduced one does
+    num, den = -0.3 * npoly.polyfromroots([r]), npoly.polyfromroots([r, 0.6])
+    figures, table = evaluate_figures(tmp_path, capsys, "pair", num.tolist(), den.tolist())
+    if r > 1.0:
+        assert figures["per_lambda_stable"] == "0/3"
+        assert figures["analytic_J"] == "inf"
+        assert [row[1] for row in table] == ["false"] * 5
+        return
+    reduced, reduced_table = evaluate_figures(tmp_path, capsys, "reduced", [-0.3], [-0.6, 1.0])
+    assert figures["per_lambda_stable"] == reduced["per_lambda_stable"] == "3/3"
+    for key in ("analytic_J", "robust_Jhat", "empirical_J"):
+        assert float(figures[key]) == pytest.approx(float(reduced[key]), rel=1e-12)
+    assert [row[1] for row in table] == [row[1] for row in reduced_table] == ["true"] * 5
+    for row, ref in zip(table, reduced_table):
+        assert [float(x) for x in row[::2] + row[3:]] == pytest.approx(
+            [float(x) for x in ref[::2] + ref[3:]], rel=1e-12)
 
 
 def test_evaluate_takes_the_synthesized_zero_controller(tmp_path, capsys):

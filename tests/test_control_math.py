@@ -6,12 +6,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from quadtrack.control_math import (
     RngStream,
     chebyshev_grid,
     polynomial_roots,
     random_orthogonal,
+    root_centroids,
     solve_dare,
     solve_discrete_lyapunov,
     spectral_radius,
@@ -429,6 +431,19 @@ def test_polynomial_roots_reconstruction():
 
 
 # ------------------------------------------------------------------- grids
+
+
+def test_root_centroids_read_a_multiple_root_to_roundoff():
+    # each copy of the squared resonance at pi/12 is about 1e-8 off the
+    # circle; their mean is not
+    resonance = [1.0, -2.0 * np.cos(np.pi / 12.0), 1.0]
+    roots = polynomial_roots(npoly.polymul(resonance, resonance))
+    assert np.max(np.abs(np.abs(roots) - 1.0)) > 1e-9
+    assert np.allclose(np.abs(root_centroids(roots)), 1.0, rtol=0.0, atol=1e-14)
+    # chained clusters share one centroid; distinct roots keep their own
+    chain = np.array([0.0, 0.8e-5, 1.6e-5, 0.5])
+    assert np.allclose(root_centroids(chain), [0.8e-5, 0.8e-5, 0.8e-5, 0.5], rtol=0.0, atol=1e-20)
+    assert root_centroids(np.zeros(0)).size == 0
 
 
 def test_chebyshev_grid_endpoints_and_order():

@@ -10,7 +10,6 @@ from numpy.polynomial import polynomial as npoly
 from quadtrack.control_math import polynomial_roots
 from quadtrack.errors import AlgebraicLoop, DimensionMismatch, NotConverged
 from quadtrack.lti import (
-    CANCEL_TOL,
     CIRCLE_ANGLES,
     CIRCLE_POINTS,
     STABILITY_MARGIN,
@@ -29,7 +28,7 @@ from quadtrack.lti import (
     ss_to_tf,
     tf_to_ss,
 )
-from quadtrack.lti import _h2_table, _loop_char, _loop_roots, _match_roots
+from quadtrack.lti import _h2_table, _loop_char, _loop_roots
 
 
 def random_stable_tf(rng, max_deg=6, max_radius=0.95):
@@ -44,7 +43,7 @@ def random_stable_tf(rng, max_deg=6, max_radius=0.95):
         poles.append(complex(rng.uniform(-max_radius, max_radius)))
     den = npoly.polyfromroots(np.asarray(poles, dtype=complex)).real
     num = rng.standard_normal(deg)
-    return TransferFunctionSISO(num, den, cancel=False)
+    return TransferFunctionSISO(num, den)
 
 
 # ------------------------------------------------------------ construction
@@ -56,14 +55,16 @@ def test_tf_normalizes_denominator_to_monic():
     assert np.allclose(tf.num, [1.0])
 
 
-def test_tf_cancels_shared_roots():
-    shared = [-0.5, 1.0]  # z - 0.5
+def test_tf_keeps_shared_roots():
+    # a function is what it says: the common factor z - 0.5 stays in both
+    shared = [-0.5, 1.0]
     num = npoly.polymul(shared, [2.0, 1.0])
     den = npoly.polymul(shared, [-0.2, 1.0])
     tf = TransferFunctionSISO(num, den)
-    assert tf.degree == 1
-    assert np.allclose(tf.num, [2.0, 1.0], atol=1e-9)
-    assert np.allclose(tf.den, [-0.2, 1.0], atol=1e-9)
+    assert tf.degree == 2
+    assert tf.den[-1] == 1.0
+    assert tf.num.tolist() == num.tolist()
+    assert tf.den.tolist() == den.tolist()
 
 
 def test_tf_rejects_improper():
@@ -156,11 +157,11 @@ def test_error_tf_matches_direct_formula():
 
 
 def test_error_tf_shared_denominator_stays_exact():
-    # controller reusing the model denominator: the duplicate factor is
-    # cancelled symbolically, so the error denominator IS the loop polynomial
+    # controller reusing the model denominator: its row is -n_h / loop, so
+    # the error denominator IS the loop polynomial
     den = npoly.polyfromroots([0.975, 0.975])
-    h = TransferFunctionSISO([1.0, 1.0], den, cancel=False)
-    c = TransferFunctionSISO([0.2, -0.1], den, cancel=False)
+    h = TransferFunctionSISO([1.0, 1.0], den)
+    c = TransferFunctionSISO([0.2, -0.1], den)
     lam = 1.7
     w = closed_loop_error_tf(h, c, lam)
     loop = npoly.polysub(den, lam * np.array([0.2, -0.1, 0.0]))
@@ -216,14 +217,33 @@ def test_internal_stability_flags_unstable_loop():
     assert not is_internally_stable(h, c, 1.0)
 
 
+def _match_roots(num_roots, den_roots, tol):
+    """Greedy pairing of nearby roots; returns (matched_num, matched_den)."""
+    den_order = sorted(range(len(den_roots)), key=lambda i: (den_roots[i].real, den_roots[i].imag))
+    free = list(range(len(num_roots)))
+    m_num, m_den = [], []
+    for i in den_order:
+        if not free:
+            break
+        dists = [abs(num_roots[k] - den_roots[i]) for k in free]
+        kbest = int(np.argmin(dists))
+        if dists[kbest] <= tol:
+            m_num.append(num_roots[free[kbest]])
+            m_den.append(den_roots[i])
+            free.pop(kbest)
+    return m_num, m_den
+
+
 def reference_stable(h, c, lam):
-    """Per-curvature internal stability, written out one lam at a time."""
+    """Per-curvature internal stability, written out one lam at a time: the
+    loop's roots inside the margin, and each persistent pole of h matched by
+    a controller pole within 1e-9, an independent root-matching oracle of
+    `_error_row`'s division."""
     loop = _loop_char(c, lam)
     if loop.size > 1 and np.max(np.abs(polynomial_roots(loop))) >= 1.0 - STABILITY_MARGIN:
         return False
     bad = [r for r in np.atleast_1d(h.poles()) if abs(r) >= 1.0 - STABILITY_MARGIN]
-    candidates = list(np.atleast_1d(h.zeros())) + list(np.atleast_1d(c.poles()))
-    return len(_match_roots(candidates, bad, CANCEL_TOL)[1]) == len(bad)
+    return len(_match_roots(list(np.atleast_1d(c.poles())), bad, 1e-9)[1]) == len(bad)
 
 
 @st.composite
@@ -292,22 +312,16 @@ def near_circle(w):
     return w.degree > 0 and np.max(np.abs(w.poles())) > 0.998
 
 
-def oracle_rtol(h, c, lam):
-    """How far the scalar route may sit from a stable row: 1e-8, plus the
-    error of its cancellation.  Dropping a pole-zero pair up to CANCEL_TOL
-    apart moves the function on the circle by up to CANCEL_TOL / (1 - rho)
-    relative, rho the largest modulus of the row's poles (the loop's roots
-    and the stable poles of h), and a squared norm by twice that."""
-    poles = np.concatenate([np.atleast_1d(h.poles()), _loop_roots(c.den, c.num, np.array([lam]))[0]])
-    rho = np.max(np.abs(poles[np.abs(poles) < 1.0 - STABILITY_MARGIN]), initial=0.0)
-    return 1e-8 + 2.0 * CANCEL_TOL / (1.0 - rho)
+# How far the scalar route may sit from a stable row: both read the same
+# row, so only the order of the arithmetic differs.
+ORACLE_RTOL = 1e-12
 
 
 @given(loops())
 def test_loop_h2_stack_replays_the_scalar_routines_for_any_controller(case):
-    """Each cell of a stable row is the scalar route's value to 1e-8 and that
-    route's cancellation error wherever the error function's poles clear
-    0.998; an unstable row reads +inf."""
+    """Each cell of a stable row is the scalar route's value to ORACLE_RTOL
+    wherever the error function's poles clear 0.998; an unstable row reads
+    +inf."""
     h, c, lams = case
     row = loop_h2_stack(h, c.den, c.num, lams)[0]
     if not loop_stable(h, c, lams).all():
@@ -316,18 +330,17 @@ def test_loop_h2_stack_replays_the_scalar_routines_for_any_controller(case):
     for lam, value in zip(lams, row):
         w = closed_loop_error_tf(h, c, float(lam))
         if not near_circle(w):
-            assert value == pytest.approx(h2_norm_sq_exact(w), rel=oracle_rtol(h, c, lam))
+            assert value == pytest.approx(h2_norm_sq_exact(w), rel=ORACLE_RTOL)
 
 
-# the loop root -0.9375 + 6.25e-10 is within CANCEL_TOL of the controller's
-# pole, so the scalar route drops that pair and its peak is 1e-8 high
+# the loop root -0.9375 + 6.25e-10 lies 6.25e-10 from the controller's pole;
+# the error function keeps that pair, so dropping it would read a peak 1e-8 high
 @example((TransferFunctionSISO([0.0, 1.0], [0.5, 1.0]), TransferFunctionSISO([5e-9], [0.9375, 1.0]),
           np.array([0.125])))
 @given(loops())
 def test_loop_peaks_are_the_peak_gains_of_the_scalar_route(case):
     """+inf where the loop is unstable; elsewhere the scalar route's peak gain
-    to 1e-8 and that route's cancellation error wherever the error
-    function's poles clear 0.998."""
+    to ORACLE_RTOL wherever the error function's poles clear 0.998."""
     h, c, lams = case
     peaks = loop_peaks(h, c, lams)
     for lam, peak, stable in zip(lams, peaks, loop_stable(h, c, lams)):
@@ -336,7 +349,7 @@ def test_loop_peaks_are_the_peak_gains_of_the_scalar_route(case):
             continue
         w = closed_loop_error_tf(h, c, float(lam))
         if not near_circle(w):
-            assert peak == pytest.approx(hinf_norm(w), rel=oracle_rtol(h, c, lam))
+            assert peak == pytest.approx(hinf_norm(w), rel=ORACLE_RTOL)
 
 
 @settings(max_examples=40)
@@ -360,7 +373,6 @@ def shared_loops(draw):
     which the controllers normalize away."""
     h, _, lams = draw(loops())
     q = h.degree
-    assume(q > 0)  # root cancellation can leave a constant h
     rows = draw(st.integers(1, 3))
     nums = np.array([draw(st.lists(st.floats(-2.0, 2.0), min_size=q, max_size=q))
                      for _ in range(rows)])
@@ -387,7 +399,7 @@ def test_loop_roots_are_the_roots_polynomial_roots_finds(case):
     """Each sorted row of `_loop_roots` is `polynomial_roots` of its loop bit
     for bit, zero coefficients included."""
     h, den, nums, lams = case
-    cs = [TransferFunctionSISO(num, den, cancel=False) for num in nums]
+    cs = [TransferFunctionSISO(num, den) for num in nums]
     roots = _loop_roots(cs[0].den, padded_rows(cs), lams)
     for c, row in zip(cs, roots):
         for lam, r in zip(lams, row):
@@ -400,7 +412,7 @@ def reduced_row(h, c, lams):
     +inf throughout unless the loop is stable at every curvature."""
     if not loop_stable(h, c, lams).all():
         return [float("inf")] * len(lams)
-    return [h2_norm_sq_exact(TransferFunctionSISO(-h.num, _loop_char(c, float(lam)), cancel=False))
+    return [h2_norm_sq_exact(TransferFunctionSISO(-h.num, _loop_char(c, float(lam))))
             for lam in lams]
 
 
@@ -414,7 +426,7 @@ D_98 = npoly.polyfromroots([0.9, 0.8])
 @given(shared_loops())
 def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
     h, den, nums, lams = case
-    cs = [TransferFunctionSISO(num, den, cancel=False) for num in nums]
+    cs = [TransferFunctionSISO(num, den) for num in nums]
     try:
         expected = np.array([reduced_row(h, c, lams) for c in cs])
     except NotConverged:
@@ -426,15 +438,15 @@ def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
 
 def test_loop_h2_stack_scores_a_cancelling_root_pair_in_the_table():
     # at lam = 1 the loop d_h - n_c is (z - 0.5)(z - 0.2), whose root 0.5
-    # cancels the zero of h, so the scalar route's error function loses a
-    # degree there; the kernel's cell is the table's value of the unreduced row
+    # is the zero of h; the error function keeps that pair, so it has degree
+    # 2 at every lam, and the kernel's cell is the scalar route's value
     h = TransferFunctionSISO(npoly.polyfromroots([0.5]), D_98)
     c = TransferFunctionSISO(npoly.polysub(D_98, npoly.polyfromroots([0.5, 0.2]))[:2], h.den)
     lams = np.array([0.5, 1.0, 1.5])
-    assert [closed_loop_error_tf(h, c, lam).degree for lam in lams] == [2, 1, 2]
+    assert [closed_loop_error_tf(h, c, lam).degree for lam in lams] == [2, 2, 2]
     row = loop_h2_stack(h, h.den, c.num, lams)[0]
     assert row.tolist() == reduced_row(h, c, lams)
-    assert row.tolist() == pytest.approx(reference_row(h, c, lams), rel=1e-15, abs=0.0)
+    assert row.tolist() == reference_row(h, c, lams)
 
 
 def test_loop_h2_stack_takes_any_strictly_proper_controller():
@@ -540,7 +552,7 @@ def stable_tfs(draw, near_margin=False):
     size = draw(st.integers(1, den.size))
     num = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
     assume(max(map(abs, num)) > 1e-6)  # no underflow in J
-    return TransferFunctionSISO(num, den, cancel=False)
+    return TransferFunctionSISO(num, den)
 
 
 def assert_within_condition(value, w):
@@ -578,7 +590,7 @@ def test_h2_table_refuses_a_loop_that_is_not_stable():
     # but the root at 1 makes a leading coefficient of the table vanish, so
     # the value is refused rather than made up
     c = 0.999999997335387
-    w = TransferFunctionSISO([1.0], [c, -1.0 - c, 1.0], cancel=False)
+    w = TransferFunctionSISO([1.0], [c, -1.0 - c, 1.0])
     assert np.max(np.abs(polynomial_roots(w.den))) < 1.0 - STABILITY_MARGIN
     assert h2_reference(w)[0] is None
     with pytest.raises(NotConverged):

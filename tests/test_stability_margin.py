@@ -1,7 +1,10 @@
 """Every stability decision of the package uses one margin, so they flip together."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from quadtrack.config import validate_config
 from quadtrack.control_math import STABILITY_MARGIN
@@ -19,11 +22,16 @@ from quadtrack.trackers import UncertaintyInterval
 
 
 def _config_accepts(key, pole):
-    doc = {"scenario": {"n": 1, "lambda_max": 2.0, "j": 0.5, "seed": 1, key: [-pole, 1.0]},
+    return _accepts({key: [-pole, 1.0]})
+
+
+def _accepts(scenario):
+    doc = {"scenario": {"n": 1, "lambda_max": 2.0, "j": 0.5, "seed": 1, **scenario},
            "run": {"horizon": 10}}
     try:
         validate_config(doc)
-    except ConfigError:
+    except ConfigError as exc:
+        assert "scenario.d_" in str(exc)
         return False
     return True
 
@@ -56,3 +64,20 @@ def test_stability_decisions_flip_together_at_the_margin(gap, in_band):
     assert _config_accepts("d_unstable", pole) == in_band
     assert _config_accepts("d_unstable", 1.0 + gap * STABILITY_MARGIN) == in_band
     assert _synthesis_rejects(h) == in_band
+
+
+RESONANCE = [1.0, -2.0 * math.cos(math.pi / 12.0), 1.0]
+
+
+@pytest.mark.parametrize("d_unstable, d_stable, ok", [
+    (npoly.polymul(RESONANCE, RESONANCE), [-0.5, 1.0], True),
+    ([1.0, 0.0, 2.0, 0.0, 1.0], [-0.5, 1.0], True),
+    (npoly.polyfromroots([1.0] * 4), [-0.5, 1.0], False),
+    ([-1.0, 1.0], [-(1.0 - 5e-6), 1.0], False),
+], ids=["squared-resonance", "(z^2+1)^2", "(z-1)^4", "stable-root-5e-6-away"])
+def test_config_classifies_persistent_roots_by_cluster_centroid(d_unstable, d_stable, ok):
+    """A double root computed up to 8.3e-8 off the circle is persistent by
+    its cluster's centroid, as `factor_poles` reads it; what the centroid
+    rule cannot classify, a 4-fold root computed 1e-4 off or a stable root
+    that joins a persistent cluster, is refused."""
+    assert _accepts({"d_unstable": list(d_unstable), "d_stable": list(d_stable)}) == ok

@@ -169,7 +169,7 @@ def test_loop_stable_accepts_a_repeated_persistent_factor(d_u):
     n_k = make_kalman_tracker(model, mu_star_search(model, grid)).tf.num
     f = np.array([-0.3, 1.0])
     d_cbar = npoly.polymul([-0.5, 1.0], f)
-    c = TransferFunctionSISO(npoly.polymul(n_k, f), npoly.polymul(d_u, d_cbar), cancel=False)
+    c = TransferFunctionSISO(npoly.polymul(n_k, f), npoly.polymul(d_u, d_cbar))
     assert loop_stable(h, c, grid).all()
     assert np.isfinite(robust_cost(h, c, UncertaintyInterval(1.0, 1.5), 5))
 
@@ -187,6 +187,18 @@ def test_precompensated_synthesis_certifies_a_repeated_persistent_factor(d_u):
     assert loop_stable(h, ctrl.tf, ctrl.lambda_grid).all()
     filt = make_kalman_tracker(model, mu_star_search(model, ctrl.lambda_grid)).tf
     assert ctrl.gamma <= robust_cost(h, filt, interval, 5)
+
+
+@REPEATED
+def test_precompensated_controller_carries_every_copy_of_a_repeated_factor(d_u):
+    """d_u comes from the clusters' centroids, so the synthesized d_c is
+    divisible by the configured d_unstable to roundoff, not to the 1e-8 of
+    a root that is itself computed only that exactly."""
+    h = ss_to_tf(repeated_pole_model(d_u))
+    opts = SynthesisOptions(grid_points=5, starts=1, max_evals=100, seed=1)
+    ctrl = precompensated_synthesize(h, UncertaintyInterval(1.0, 1.5), opts)
+    assert ctrl.tf.degree == 2 * (len(d_u) - 1) + 1  # the default order, deg h + deg d_u
+    assert np.max(np.abs(npoly.polydiv(ctrl.tf.den, d_u)[1])) <= 1e-12
 
 
 def test_precompensated_rejects_orders_without_freedom():

@@ -378,6 +378,19 @@ def test_factor_poles_constant():
     assert np.allclose(n, [2.0]) and np.allclose(d_u, [1.0]) and np.allclose(d_s, [1.0])
 
 
+@pytest.mark.parametrize("d_u, d_s", [
+    (npoly.polyfromroots([1j, 1j, -1j, -1j]).real, np.array([-0.5, 1.0])),
+    (npoly.polyfromroots([-1.0, -1.0]), np.array([-0.5, 1.0])),
+], ids=["(z^2+1)^2", "(z+1)^2"])
+def test_factor_poles_keeps_every_copy_of_a_repeated_persistent_root(d_u, d_s):
+    # the root finder returns each double root about 1e-8 off the circle,
+    # one copy inside the margin; the cluster's centroid is on it to roundoff
+    n, got_u, got_s = factor_poles(TransferFunctionSISO([1.0], npoly.polymul(d_u, d_s)))
+    assert got_u.size == d_u.size
+    assert np.allclose(got_u, d_u, rtol=0.0, atol=1e-12)
+    assert np.allclose(got_s, d_s, rtol=0.0, atol=1e-12)
+
+
 # ----------------------------------------------------------- serialization
 
 
