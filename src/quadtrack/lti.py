@@ -12,8 +12,11 @@ one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 curvatures at once: the roots of d_c - lam n_c lie inside the circle, and
 the controller carries the internal model, whose one rule is `_error_row`'s
 division: the factor d_u of the signal's persistent poles divides d_c up
-to roundoff.  Every cost of an error loop -h / (1 - lam c) is read from
-that row, with no root cancellation: every summed H2 cost from one kernel,
+to roundoff.  No loop root is computed: `roots_stable` runs the
+Schur-Cohn recursion, `_schur_cohn`, on the loop polynomials scaled to the
+margin radius, the recursion that `_h2_table` runs too.  Every cost of an
+error loop -h / (1 - lam c) is read from that row, with no root
+cancellation: every summed H2 cost from one kernel,
 `loop_h2_stack`, which scores all the stable cells of a (controllers x
 curvatures) grid with one Astrom-Jury table, `_h2_table`, and every peak
 gain from `loop_peaks`, `hinf_norm` of `closed_loop_error_tf`, the row as
@@ -234,34 +237,53 @@ def _shares_den(h: TransferFunctionSISO, den: np.ndarray) -> bool:
     return den.size == h.den.size and np.allclose(den, h.den, rtol=0.0, atol=1e-12 * den_scale)
 
 
-def _loop_roots(den: np.ndarray, nums: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Roots of den(z) - lam * nums(z) per lam, as `polynomial_roots` finds them.
+def _schur_cohn(a: np.ndarray, b: np.ndarray | None = None) -> tuple:
+    """The Schur-Cohn recursion on the polynomials a, in place.
 
-    den is monic of degree q; nums is a numerator, or a stack of them one
-    per row, zero-padded to width at most q.  The companion matrices are
-    filled as numpy's `polycompanion` does and factored in one batched
-    eigenvalue call, so each row, once sorted, is `polynomial_roots` of its
-    loop bit for bit.  Shape nums.shape[:-1] + (lams.size, q), unsorted.
+    a: (q + 1, ...) descending coefficients, one polynomial per column,
+    each with a positive leading coefficient.  Step k = q .. 1 takes
+    alpha = a_k / a_0 and reduces a_i (i < k) by alpha times the pre-step
+    a_(k - i); the new leading coefficient is a_0 (1 - alpha^2), so every
+    root of a column lies strictly inside the unit circle exactly when
+    every leading coefficient stays positive (Astrom, Jury and Agniel,
+    IEEE TAC 15(4), 1970).  b, when given, is reduced along with a, by
+    beta = b_k / a_0, and sum a_0 beta^2 is accumulated: the H2 table of
+    `_h2_table`.  Returns (ok, that sum).
     """
-    q = den.size - 1
-    coeffs = np.tile(den[:q], nums.shape[:-1] + (lams.size, 1))
-    coeffs[..., : nums.shape[-1]] -= lams[:, None] * nums[..., None, :]
-    if q < 2:
-        return -coeffs  # `polyroots`' closed form -c0 / c1; a constant loop has no roots
-    comp = np.zeros(coeffs.shape + (q,))
-    comp[..., 1:, :-1] = np.eye(q - 1)
-    comp[..., -1] -= coeffs
-    return np.linalg.eigvals(comp)
+    q = a.shape[0] - 1
+    lead = np.empty((q,) + a.shape[1:])
+    total = np.zeros(a.shape[1:])
+    # a column that fails the sign test may divide by zero or overflow later on
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(q, 0, -1):
+            alpha = a[k] / a[0]
+            rev = a[k:0:-1]
+            if b is not None:
+                beta = b[k] / a[0]
+                total += a[0] * beta * beta
+                b[:k] -= beta * rev
+            a[:k] -= alpha * rev
+            lead[k - 1] = a[0]
+    return (lead > 0.0).all(axis=0), total
 
 
 def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
     """Per lam, whether every root of den(z) - lam * num(z) is inside the circle.
 
-    The modulus test over `_loop_roots`.  A 2-D num is a stack of
-    numerators; the flags then have one row per numerator.
+    den is monic of degree q; num is a numerator, or a stack of them one
+    per row, of width at most q, and the flags then have one row per
+    numerator.  "Inside" is radius R = 1 - STABILITY_MARGIN: the roots of
+    p lie inside it exactly when those of p(R z), coefficients p_k R^k,
+    lie inside the unit circle, which `_schur_cohn` decides in q vector
+    steps for the whole stack, with no root computed.  A constant loop has
+    no roots and is stable.
     """
-    roots = _loop_roots(den, num, np.asarray(lams, dtype=float))
-    return (np.abs(roots) < 1.0 - STABILITY_MARGIN).all(axis=-1)
+    lams = np.asarray(lams, dtype=float)
+    q = den.size - 1
+    wide = np.zeros(num.shape[:-1] + (q + 1,))
+    wide[..., : num.shape[-1]] = num
+    loops = (den - lams[:, None] * wide[..., None, :]) * (1.0 - STABILITY_MARGIN) ** np.arange(q + 1)
+    return _schur_cohn(np.moveaxis(loops[..., ::-1], -1, 0).copy())[0]
 
 
 def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,11 +374,10 @@ def _h2_table(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
     """jw**2 + ||sp[i] / loops[i]||_2^2 per row, by the Astrom-Jury table.
 
     loops: (N, q + 1) monic ascending denominators; sp: (N, k <= q)
-    ascending numerators.  The recursion of Astrom, Jury and Agniel (IEEE
-    TAC 15(4), 1970) reduces both polynomials, written descending, one
-    degree per step, q vector steps for the whole stack.  A loop is stable
-    exactly when every leading coefficient of the table stays positive;
-    ok is false where one does not, and that row's value is meaningless.
+    ascending numerators.  `_schur_cohn` reduces both polynomials,
+    written descending, one degree per step, q vector steps for the whole
+    stack.  ok is its stability flag: false where a leading coefficient of
+    the table does not stay positive, and that row's value is meaningless.
     Returns (values, ok).
 
     Every H2 cost of the program passes through here.  A value is accurate
@@ -364,23 +385,13 @@ def _h2_table(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
     as the largest pole modulus rho nears 1 the error grows as eps / (1 - rho)^2.
     """
     n, q = loops.shape[0], loops.shape[1] - 1
-    a = loops[:, ::-1].copy()
-    b = np.zeros((n, q + 1))
-    b[:, q + 1 - sp.shape[1]:] = sp[:, ::-1]
-    total = np.zeros(n)
-    ok = np.ones(n, dtype=bool)
-    # a row that fails the sign test may divide by zero or overflow later on
+    # descending, one column per row
+    a = loops[:, ::-1].T.copy()
+    b = np.zeros((q + 1, n))
+    b[q + 1 - sp.shape[1]:] = sp[:, ::-1].T
+    ok, total = _schur_cohn(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(q, 0, -1):
-            a0 = a[:, 0]
-            alpha = a[:, k] / a0
-            beta = b[:, k] / a0
-            total += a0 * beta * beta
-            rev = a[:, k:0:-1]
-            b[:, :k] -= beta[:, None] * rev
-            a[:, :k] -= alpha[:, None] * rev
-            ok &= a[:, 0] > 0.0
-        val = jw ** 2 + total + b[:, 0] ** 2 / a[:, 0]
+        val = jw ** 2 + total + b[0] ** 2 / a[0]
     return val, ok
 
 
@@ -401,8 +412,9 @@ def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
     if np.max(np.abs(poles)) >= 1.0 - STABILITY_MARGIN:
         return float("inf")
     jw = w.num[deg] if w.num.size == deg + 1 else 0.0
-    sp_num = _trim(npoly.polysub(w.num, jw * w.den))
-    if TransferFunctionSISO._is_zero_poly(sp_num):
+    # strictly proper part: w - j_w, whose z^deg coefficient is an exact zero
+    sp_num = npoly.polysub(w.num, jw * w.den)[:deg]
+    if not sp_num.any():
         return float(jw ** 2)
     val, ok = _h2_table(w.den[None], sp_num[None], jw)
     if not ok[0]:
@@ -469,7 +481,7 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
 
     Returns a (controllers x curvatures) array.  Row i belongs to
     c_i = TransferFunctionSISO(nums[i], den).  One
-    `roots_stable` call factors every loop for the row flags: where
+    `roots_stable` call tests every loop for the row flags: where
     `loop_stable` fails at any curvature the whole row reads +inf, the
     rule of a summed tracking cost.  One `_h2_table` call scores the
     `_error_row` of every other cell; where `_error_row` finds no internal

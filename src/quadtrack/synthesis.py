@@ -7,6 +7,14 @@ on the grid treated as +inf.  Search is multi-start Nelder-Mead; every
 returned controller is re-certified with the full-precision norm routine,
 so the reported level is never the cheaper search-time surrogate.
 
+The surrogate samples the 4096 `CIRCLE_POINTS` but computes its exact
+ratio only at a few of them.  A cheap upper bound per frequency, from one
+matrix product with a table of cos and sin k theta and the distance from
+p0 to the segment {lam p1 : lam in [lam_min, lam_max]}, with an error
+budget of kappa = 64 (deg + 1)^2 eps per coefficient magnitude, picks the
+candidates; every other frequency is certified below their maximum, so
+the value has the bits of the whole-circle computation.
+
 Persistent signal poles are handled by constraining the controller to
 contain them (precompensation): with h = n / (d_u d_s) and p(z) = z^deg(d_u),
 the controller c = (p / d_u) cbar carries the internal model d_u, and cbar
@@ -23,7 +31,7 @@ from numpy.polynomial import polynomial as npoly
 from .control_math import STABILITY_MARGIN, RngStream, chebyshev_grid
 from .errors import InvalidBounds, NoStabilizingController, QuadtrackError
 from .evaluation import robust_cost
-from .lti import CIRCLE_POINTS, StateSpaceSISO, TransferFunctionSISO, factor_poles, roots_stable, tf_to_ss
+from .lti import CIRCLE_ANGLES, CIRCLE_POINTS, StateSpaceSISO, TransferFunctionSISO, factor_poles, roots_stable, tf_to_ss
 from .scenario import STREAM_SYNTH_BASE
 from .trackers import KIND_HINF, TrackerController, UncertaintyInterval, kalman_gain, mu_star_search
 
@@ -49,9 +57,15 @@ class SynthesisOptions:
 class _Objective:
     """Worst-case grid gain of the candidate coefficient vector.
 
-    The (curvature x frequency) denominators are written into buffers made
-    once per instance, so an instance is not reentrant: evaluate one
-    vector at a time.
+    The value is the largest |n(z)| / min over the grid of |p0(z) - lam p1(z)|
+    over the 4096 `CIRCLE_POINTS`, with n = n_h d_cbar, p0 = d_s d_u d_cbar
+    and p1 = d_s p n_cbar, and +inf where the loop is unstable anywhere on
+    the grid.  `_ratio` computes it only at the frequencies that can hold
+    the maximum, which `_bound` finds from one matrix product with a
+    powers table made once per instance.  The value is the full circle's,
+    bit for bit: each elementwise operation of `_ratio` gives the same
+    bits on a gathered subset as on the whole circle, and every frequency
+    left out is certified below the maximum of those kept.
     """
 
     def __init__(self, n_h, d_u, d_s, p, q_bar, lam_grid):
@@ -62,10 +76,15 @@ class _Objective:
         self.q_bar = q_bar
         self.lam_grid = lam_grid
         self.z = CIRCLE_POINTS
-        # a real lam is cast to lam + 0j inside the complex ufuncs anyway
-        self.lam_c = lam_grid.astype(complex)[:, None]
-        self.grid = np.empty((lam_grid.size, CIRCLE_POINTS.size), dtype=complex)
-        self.mag = np.empty(self.grid.shape)
+        # room for the widest of n, p0 and p1
+        width = max(n_h.size + q_bar, d_s.size + d_u.size + q_bar - 1,
+                    d_s.size + p.size + q_bar - 2)
+        # row k: cos and sin of k theta on the lower half circle [-pi, 0], so
+        # coeffs @ powers holds Re and Im of the polynomials there; real
+        # coefficients mirror them onto the upper half
+        k_theta = np.outer(np.arange(width), CIRCLE_ANGLES[: CIRCLE_ANGLES.size // 2 + 1])
+        self.powers = np.concatenate([np.cos(k_theta), np.sin(k_theta)], axis=1)
+        self.kappa = 64.0 * width * width * np.finfo(float).eps
         self.best = float("inf")
         self.best_v = None
 
@@ -76,26 +95,74 @@ class _Objective:
 
     def __call__(self, v) -> float:
         n_cbar, d_cbar = self.split(v)
-        base = npoly.polymul(self.d_u, d_cbar)
-        pert = npoly.polymul(self.p, n_cbar)
+        # `npoly.polymul` is this product, trimmed: zero top coefficients
+        # change no root and no Horner value
+        base = np.convolve(self.d_u, d_cbar)
+        pert = np.convolve(self.p, n_cbar)
         if not np.all(np.isfinite(base)) or not np.all(np.isfinite(pert)):
             return float("inf")
         if not roots_stable(base, pert, self.lam_grid).all():
             val = float("inf")
         else:
-            num_v = np.abs(npoly.polyval(self.z, npoly.polymul(self.n_h, d_cbar)))
-            p0 = npoly.polyval(self.z, npoly.polymul(self.d_s, base))
-            p1 = npoly.polyval(self.z, npoly.polymul(self.d_s, pert))
-            np.multiply(self.lam_c, p1, out=self.grid)
-            np.subtract(p0, self.grid, out=self.grid)
-            np.abs(self.grid, out=self.mag)
-            # division rounds monotonically, so dividing by the smallest
-            # denominator per frequency gives the bits of the full grid's max
-            val = float(np.max(num_v / np.maximum(self.mag.min(axis=0), 1e-300)))
+            # n, p0 and p1, ascending, zero-padded to the powers table
+            coeffs = np.zeros((3, self.powers.shape[0]))
+            for row, (f, g) in zip(coeffs, ((self.n_h, d_cbar), (self.d_s, base), (self.d_s, pert))):
+                row[: f.size + g.size - 1] = np.convolve(f, g)
+            bound = self._bound(coeffs)
+            cand = bound >= (1.0 - 1e-6) * bound.max()
+            val = self._ratio(coeffs, cand)
+            # every other frequency is certified below val, or the set widens to
+            # those that are not, which include the maximizer
+            wider = bound * (1.0 + self.kappa) >= val
+            if (wider & ~cand).any():
+                val = self._ratio(coeffs, wider)
         if val < self.best:
             self.best = val
             self.best_v = np.array(v, dtype=float)
         return val
+
+    def _ratio(self, coeffs, mask) -> float:
+        """The value's own arithmetic at the frequencies of mask: Horner,
+        |p0 - lam p1| at every lam, its minimum, the ratio and its maximum."""
+        # a zero top coefficient gives Horner the same bits as the trimmed polynomial
+        n, p0, p1 = npoly.polyval(self.z[mask], coeffs.T)
+        den = np.abs(p0 - self.lam_grid[:, None] * p1).min(axis=0)
+        # division rounds monotonically, so dividing by the smallest
+        # denominator per frequency gives the bits of the full grid's max
+        return float(np.max(np.abs(n) / np.maximum(den, 1e-300)))
+
+    def _bound(self, coeffs) -> np.ndarray:
+        """Per frequency, an upper bound on what `_ratio` computes there, to
+        a factor 1 + kappa; +inf at every frequency if any bound fails.
+
+        The powers table gives approximations n~, p0~ and p1~ within
+        e = kappa sum |c_k| of each polynomial's Horner value, with
+        kappa = 64 (deg + 1)^2 eps; that budget also holds the rounding of
+        `_ratio`'s complex arithmetic and of the distance below.
+        |p0~ - lam p1~|^2 is convex in lam, so its minimum over
+        [lam_min, lam_max], at the clipped lam* = Re(p0~ conj p1~) / |p1~|^2,
+        is at most its value at any grid point; the distance is
+        |p1~|-Lipschitz in lam, which covers the rounding of lam*.  The
+        bound is (|n~| + e_n) / (that distance - e_p0 - max|lam| e_p1).
+        """
+        err = self.kappa * np.abs(coeffs).sum(axis=1)
+        # (polynomial, Re / Im, frequency)
+        vals = (coeffs @ self.powers).reshape(3, 2, -1)
+        squares = vals * vals
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dot = vals[1] * vals[2]
+            # p1~ = 0 gives 0 / 0, which fmin and fmax skip: any lam is the minimizer
+            lam = np.fmax(np.fmin((dot[0] + dot[1]) / (squares[2, 0] + squares[2, 1]),
+                                  self.lam_grid.max()), self.lam_grid.min())
+            gap = vals[1] - lam * vals[2]
+            gap *= gap
+            dist = np.sqrt(gap[0] + gap[1]) - (err[1] + np.abs(self.lam_grid).max() * err[2])
+            bound = (np.sqrt(squares[0, 0] + squares[0, 1]) + err[0]) / dist
+        # a nonpositive distance leaves no bound: NaN, a negative or an infinite one
+        if not (bound.min() >= 0.0 and bound.max() < np.inf):
+            bound[:] = np.inf
+        # theta_(n - k) = -theta_k to an ulp of pi, well inside the budget
+        return np.concatenate([bound, bound[-2:0:-1]])
 
 
 class _OutOfBudget(Exception):

@@ -25,10 +25,11 @@ from quadtrack.lti import (
     loop_peaks,
     loop_stable,
     observable_canonical,
+    roots_stable,
     ss_to_tf,
     tf_to_ss,
 )
-from quadtrack.lti import _h2_table, _loop_char, _loop_roots
+from quadtrack.lti import _h2_table, _loop_char
 
 
 def random_stable_tf(rng, max_deg=6, max_radius=0.95):
@@ -382,28 +383,58 @@ def shared_loops(draw):
     return h, scale * h.den, scale * 0.5 * nums, lams
 
 
-def padded_rows(cs):
-    """The controllers' own numerators, zero-padded to width deg(den)."""
-    rows = np.zeros((len(cs), cs[0].degree))
-    for row, c in zip(rows, cs):
-        row[: c.num.size] = c.num
-    return rows
+RADIUS = 1.0 - STABILITY_MARGIN
 
 
-# z^3 - 0.5 z: a last companion column written as -coeffs holds -0.0 where
-# numpy's holds 0.0, and the eigenvalue routine then moves +-sqrt(0.5) by an ulp
-@example((TransferFunctionSISO([1.0], [0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0]),
-          np.array([[0.0, 0.5, 0.0]]), np.array([1.0])))
-@given(shared_loops())
-def test_loop_roots_are_the_roots_polynomial_roots_finds(case):
-    """Each sorted row of `_loop_roots` is `polynomial_roots` of its loop bit
-    for bit, zero coefficients included."""
-    h, den, nums, lams = case
-    cs = [TransferFunctionSISO(num, den) for num in nums]
-    roots = _loop_roots(cs[0].den, padded_rows(cs), lams)
-    for c, row in zip(cs, roots):
-        for lam, r in zip(lams, row):
-            assert np.array_equal(np.sort(r), polynomial_roots(_loop_char(c, float(lam))))
+@st.composite
+def margin_loops(draw):
+    """(den, nums, lams): a monic den of degree 1 to 7 from drawn roots, at
+    most one of them (or one conjugate pair) within 1e-3 of the margin
+    radius, on either side, and a stack of numerators scaled down to zero,
+    so the loops den - lam num take any root moduli, the margin's included."""
+    q = draw(st.integers(1, 7))
+    near = draw(st.sampled_from([None, -1e-3, -1e-8, -2e-9, 2e-9, 1e-8, 1e-3]))
+    roots = []
+    while len(roots) < q:
+        if near is not None:
+            r, near = RADIUS * (1.0 + near), None
+        else:
+            r = draw(st.one_of(st.floats(0.0, RADIUS * (1.0 - 1e-3)),
+                               st.floats(RADIUS * (1.0 + 1e-3), 1.3)))
+        if len(roots) + 2 <= q and draw(st.booleans()):
+            th = draw(st.floats(0.1, np.pi - 0.1))
+            roots += [r * np.exp(1j * th), r * np.exp(-1j * th)]
+        else:
+            roots.append(complex(r * draw(st.sampled_from([1.0, -1.0]))))
+    den = npoly.polyfromroots(np.asarray(roots)).real
+    width = draw(st.integers(0, q))
+    scale = draw(st.sampled_from([0.0, 1e-6, 0.1, 1.0]))
+    rows = draw(st.integers(1, 2))
+    nums = scale * np.array([draw(st.lists(st.floats(-2.0, 2.0), min_size=width, max_size=width))
+                             for _ in range(rows)]).reshape(rows, width)
+    lams = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=1, max_size=3)))
+    return den, nums, lams
+
+
+@settings(max_examples=60)
+@given(margin_loops())
+def test_roots_stable_matches_the_60_digit_roots(case):
+    """Schur-Cohn flags against the roots of each loop at 60 digits: every
+    root inside the margin radius, wherever every root is more than 1e-9
+    from it; inside that band either answer is accepted."""
+    den, nums, lams = case
+    flags = roots_stable(den, nums, lams)
+    assert flags.shape == (nums.shape[0], lams.size)
+    with mpmath.workdps(60):
+        radius = mpmath.mpf(RADIUS)
+        for num, row in zip(nums, flags):
+            for lam, flag in zip(lams, row):
+                loop = [mpmath.mpf(float(c)) for c in den]
+                for k, c in enumerate(num):
+                    loop[k] -= mpmath.mpf(float(lam)) * mpmath.mpf(float(c))
+                moduli = [abs(r) for r in mpmath.polyroots(loop[::-1], maxsteps=400, extraprec=200)]
+                if all(abs(m - radius) > 1e-9 for m in moduli):
+                    assert flag == all(m < radius for m in moduli)
 
 
 def reduced_row(h, c, lams):
@@ -423,6 +454,10 @@ D_98 = npoly.polyfromroots([0.9, 0.8])
 # cells like any other: the controllers' own coefficients need no `_trim`
 @example((TransferFunctionSISO([1.0, 0.5], D_98), D_98, np.array([[-0.1, 0.0], [0.0, 0.0]]),
           np.array([0.5, 1.0, 1.5])))
+# w = -h has the direct term -1e-14; its strictly proper part keeps a z
+# coefficient of -2.7e-15, below 1e-14 of its largest, which the table must score
+@example((TransferFunctionSISO([0.5, 0.0, 1e-14], [0.0625, -0.2701511529340699, 1.0]),
+          np.array([0.0625, -0.2701511529340699, 1.0]), np.array([[0.0, 0.0]]), np.array([1.0])))
 @given(shared_loops())
 def test_loop_h2_stack_replays_the_scalar_routines_bit_for_bit(case):
     h, den, nums, lams = case

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -15,6 +15,7 @@ from quadtrack.lti import (
     StateSpaceSISO,
     TransferFunctionSISO,
     closed_loop_error_tf,
+    factor_poles,
     hinf_norm,
     is_internally_stable,
     loop_stable,
@@ -22,7 +23,13 @@ from quadtrack.lti import (
     roots_stable,
     ss_to_tf,
 )
-from quadtrack.synthesis import SynthesisOptions, hinf_synthesize, precompensated_synthesize
+from quadtrack.synthesis import (
+    SynthesisOptions,
+    _kalman_start,
+    _Objective,
+    hinf_synthesize,
+    precompensated_synthesize,
+)
 from quadtrack.trackers import (
     UncertaintyInterval,
     controller_from_dict,
@@ -234,56 +241,61 @@ def test_synthesis_zero_plant_returns_zero_controller():
         assert np.array_equal(a, b)
 
 
+def reference_objective(obj, v):
+    """The objective on the whole circle: |n| / |p0 - lam p1| on every
+    (curvature, frequency) cell, its grid maximum, +inf for a non-finite
+    vector or a loop unstable anywhere on the grid."""
+    n_cbar, d_cbar = obj.split(v)
+    base = npoly.polymul(obj.d_u, d_cbar)
+    pert = npoly.polymul(obj.p, n_cbar)
+    if not (np.isfinite(base).all() and np.isfinite(pert).all()):
+        return float("inf")
+    if not roots_stable(base, pert, obj.lam_grid).all():
+        return float("inf")
+    num_v = np.abs(npoly.polyval(obj.z, npoly.polymul(obj.n_h, d_cbar)))
+    p0 = npoly.polyval(obj.z, npoly.polymul(obj.d_s, base))
+    p1 = npoly.polyval(obj.z, npoly.polymul(obj.d_s, pert))
+    den_v = np.abs(p0[None, :] - obj.lam_grid[:, None] * p1[None, :])
+    return float(np.max(num_v[None, :] / np.maximum(den_v, 1e-300)))
+
+
+def objective_args(h, lam_grid):
+    """`_Objective`'s arguments for the signal model h at the default order."""
+    n_h, d_u, d_s = factor_poles(h)
+    p = np.zeros(d_u.size)
+    p[-1] = 1.0
+    return n_h, d_u, d_s, p, h.degree, lam_grid
+
+
 def test_objective_divides_by_the_smallest_denominator_bit_for_bit():
     """Division rounds monotonically, so the grid max of num / den equals the
     max of num over the smallest denominator per frequency, bit for bit, on
     feasible and infeasible coefficient vectors alike."""
-    from quadtrack.synthesis import _Objective
-    from quadtrack.lti import factor_poles
-
     rng = np.random.default_rng(11)
     infeasible = 0
     for model, (lo, hi) in [(stable_model(), (1.0, 3.5)), (unstable_model(j=1.85), (2.0, 3.3))]:
         h = ss_to_tf(model)
-        n_h, d_u, d_s = factor_poles(h)
-        p = np.zeros(d_u.size)
-        p[-1] = 1.0
-        obj = _Objective(n_h, d_u, d_s, p, h.degree, chebyshev_grid(lo, hi, 33))
+        obj = _Objective(*objective_args(h, chebyshev_grid(lo, hi, 33)))
         for scale in (0.05, 0.5, 5.0):
             for _ in range(25):
                 v = scale * rng.standard_normal(2 * h.degree)
-                n_cbar, d_cbar = obj.split(v)
-                base = npoly.polymul(d_u, d_cbar)
-                pert = npoly.polymul(p, n_cbar)
-                num_v = np.abs(npoly.polyval(obj.z, npoly.polymul(n_h, d_cbar)))
-                p0 = npoly.polyval(obj.z, npoly.polymul(d_s, base))
-                p1 = npoly.polyval(obj.z, npoly.polymul(d_s, pert))
-                den_v = np.abs(p0[None, :] - obj.lam_grid[:, None] * p1[None, :])
-                full = float(np.max(num_v[None, :] / np.maximum(den_v, 1e-300)))
-                assert float(np.max(num_v / np.maximum(den_v.min(axis=0), 1e-300))) == full
                 value = obj(v)
                 infeasible += not np.isfinite(value)
-                assert value == full or not np.isfinite(value)
+                assert value == reference_objective(obj, v)
     assert infeasible > 0
 
 
 def test_objective_reuses_its_buffers_without_stale_values():
-    """One instance scores a shuffled mix of feasible, loop-unstable and
-    non-finite vectors with the values a per-call-allocation formula and a
-    fresh instance give, so no buffer carries a value between calls."""
-    from quadtrack.synthesis import _kalman_start, _Objective
-    from quadtrack.lti import factor_poles
-
+    """One instance, which reuses its powers table, scores a shuffled mix of
+    feasible, loop-unstable and non-finite vectors with the values of the
+    whole-circle formula and of a fresh instance, so no state carries
+    between calls, and the best vector it keeps is a copy."""
     rng = np.random.default_rng(12)
     for model, (lo, hi) in [(stable_model(), (1.0, 3.5)), (unstable_model(j=1.85), (2.0, 3.3))]:
         h = ss_to_tf(model)
-        n_h, d_u, d_s = factor_poles(h)
-        p = np.zeros(d_u.size)
-        p[-1] = 1.0
-        lam_grid = chebyshev_grid(lo, hi, 9)
-        args = (n_h, d_u, d_s, p, h.degree, lam_grid)
+        args = objective_args(h, chebyshev_grid(lo, hi, 9))
         obj = _Objective(*args)
-        v0 = _kalman_start(h, lam_grid, d_s, p, h.degree)
+        v0 = _kalman_start(h, args[-1], args[2], args[3], h.degree)
         vs = [v0] + [v0 + 1e-3 * rng.standard_normal(v0.size) for _ in range(3)]
         vs += [s * rng.standard_normal(v0.size) for s in (0.5, 5.0, 5.0)]
         for bad in (np.nan, np.inf, -np.inf):
@@ -293,29 +305,74 @@ def test_objective_reuses_its_buffers_without_stale_values():
         kinds = set()
         for k in rng.permutation(len(vs)):
             v = vs[k]
-            n_cbar, d_cbar = obj.split(v)
-            base = npoly.polymul(d_u, d_cbar)
-            pert = npoly.polymul(p, n_cbar)
-            if not (np.isfinite(base).all() and np.isfinite(pert).all()):
-                expected, kind = float("inf"), "non-finite"
-            elif not roots_stable(base, pert, obj.lam_grid).all():
-                expected, kind = float("inf"), "unstable"
+            expected = reference_objective(obj, v)
+            if np.isfinite(expected):
+                kinds.add("feasible")
             else:
-                num_v = np.abs(npoly.polyval(obj.z, npoly.polymul(n_h, d_cbar)))
-                p0 = npoly.polyval(obj.z, npoly.polymul(d_s, base))
-                p1 = npoly.polyval(obj.z, npoly.polymul(d_s, pert))
-                den_v = np.abs(p0[None, :] - obj.lam_grid[:, None] * p1[None, :])
-                expected = float(np.max(num_v / np.maximum(den_v.min(axis=0), 1e-300)))
-                kind = "feasible"
-            kinds.add(kind)
+                kinds.add("non-finite" if not np.isfinite(v).all() else "unstable")
             value = obj(v)
             assert value == expected
             assert value == _Objective(*args)(v)
             if obj.best_v is not None:
-                assert not np.shares_memory(obj.best_v, obj.grid)
-                assert not np.shares_memory(obj.best_v, obj.mag)
                 assert not np.shares_memory(obj.best_v, v)
         assert kinds == {"feasible", "unstable", "non-finite"}
+
+
+@st.composite
+def objective_cases(draw):
+    """(args, v): `_Objective`'s arguments for a stable or persistent model
+    at order 1 to 4 over a grid of 2 to 33 points, and a vector: the filter
+    start, a small perturbation of it, or a wide random draw with a stable
+    denominator."""
+    persistent = draw(st.booleans())
+    model = unstable_model(j=1.85) if persistent else stable_model()
+    lo, hi = (2.0, 3.3) if persistent else (1.0, 3.5)
+    h = ss_to_tf(model)
+    n_h, d_u, d_s, p, _, _ = objective_args(h, None)
+    q_bar = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([hi, lo + 0.3 * (hi - lo)]))
+    lam_grid = chebyshev_grid(lo, top, draw(st.integers(2, 33)))
+    args = (n_h, d_u, d_s, p, q_bar, lam_grid)
+    start = _kalman_start(h, lam_grid, d_s, p, q_bar)
+    kind = draw(st.sampled_from(["start", "near", "near", "wide"]))
+    if start is None or kind == "wide":
+        # any numerator over a denominator with real roots inside 0.9
+        n_cbar = draw(st.lists(st.floats(-3.0, 3.0), min_size=q_bar, max_size=q_bar))
+        roots = draw(st.lists(st.floats(-0.9, 0.9), min_size=q_bar, max_size=q_bar))
+        v = np.concatenate([n_cbar, npoly.polyfromroots(roots)[:q_bar]])
+    else:
+        step = 0.0 if kind == "start" else draw(st.sampled_from([1e-8, 1e-4, 1e-2]))
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=start.size, max_size=start.size))
+        v = start + step * np.array(noise)
+    return args, v
+
+
+# an all-pass signal model (z + 0.5) / (0.5 z + 1) with n_cbar = 0: the gain
+# is 1 on the whole circle, so every frequency ties for the maximum
+@example(((np.array([1.0, 0.5]), np.ones(1), np.array([0.5, 1.0]), np.ones(1), 1,
+           chebyshev_grid(1.0, 3.5, 9)), np.array([0.0, 0.3])))
+# d_cbar = (z - 0.999)^3 with n_cbar = 0: |p0| at z = 1 is far below the
+# budget kappa sum |c_k|, so no frequency has a finite bound
+@example((objective_args(ss_to_tf(stable_model()), chebyshev_grid(1.0, 3.5, 9))[:4]
+          + (3, chebyshev_grid(1.0, 3.5, 9)),
+          np.concatenate([np.zeros(3), npoly.polyfromroots([0.999] * 3)[:3]])))
+# a high-gain loop of the sweep-lmax-unstable preset at lambda_max 2.3: the
+# bound at the top frequency is loose, so the candidate set must widen
+@example(((np.array([1.765624999999999, -2.2290739215051367, 6.146365392011741,
+                     -2.6818516525781386, 1.0]),
+           np.array([1.0000000000000322, -1.9318516525781788, 1.0]),
+           np.array([0.7656249999999758, -1.749999999999957, 1.0]), np.array([0.0, 0.0, 1.0]), 4,
+           chebyshev_grid(1.0, 2.3, 33)),
+          np.array([0.07091963130853919, 0.037249944024221326, -0.2961202646594561,
+                    -0.11142086105958755, 0.0010314583813043968, -0.15898150605117378,
+                    0.783903757076148, 0.019930831320809313])))
+@settings(max_examples=60)
+@given(objective_cases())
+def test_objective_is_the_whole_circle_value_bit_for_bit(case):
+    """The value from the candidate frequencies equals the whole-circle
+    formula exactly, +inf included."""
+    args, v = case
+    assert _Objective(*args)(v) == reference_objective(_Objective(*args), v)
 
 
 @st.composite
