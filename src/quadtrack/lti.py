@@ -283,7 +283,7 @@ def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
     wide = np.zeros(num.shape[:-1] + (q + 1,))
     wide[..., : num.shape[-1]] = num
     loops = (den - lams[:, None] * wide[..., None, :]) * (1.0 - STABILITY_MARGIN) ** np.arange(q + 1)
-    return _schur_cohn(np.moveaxis(loops[..., ::-1], -1, 0).copy())[0]
+    return _schur_cohn(np.moveaxis(loops[..., ::-1], -1, 0))[0]
 
 
 def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

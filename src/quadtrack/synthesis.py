@@ -7,13 +7,9 @@ on the grid treated as +inf.  Search is multi-start Nelder-Mead; every
 returned controller is re-certified with the full-precision norm routine,
 so the reported level is never the cheaper search-time surrogate.
 
-The surrogate samples the 4096 `CIRCLE_POINTS` but computes its exact
-ratio only at a few of them.  A cheap upper bound per frequency, from one
-matrix product with a table of cos and sin k theta and the distance from
-p0 to the segment {lam p1 : lam in [lam_min, lam_max]}, with an error
-budget of kappa = 64 (deg + 1)^2 eps per coefficient magnitude, picks the
-candidates; every other frequency is certified below their maximum, so
-the value has the bits of the whole-circle computation.
+The surrogate is sampled on the 4096 `CIRCLE_POINTS`, but computed only
+at the few frequencies a cheap certified upper bound leaves as candidates
+for the maximum, with the bits of the whole-circle computation.
 
 Persistent signal poles are handled by constraining the controller to
 contain them (precompensation): with h = n / (d_u d_s) and p(z) = z^deg(d_u),
@@ -60,12 +56,10 @@ class _Objective:
     The value is the largest |n(z)| / min over the grid of |p0(z) - lam p1(z)|
     over the 4096 `CIRCLE_POINTS`, with n = n_h d_cbar, p0 = d_s d_u d_cbar
     and p1 = d_s p n_cbar, and +inf where the loop is unstable anywhere on
-    the grid.  `_ratio` computes it only at the frequencies that can hold
-    the maximum, which `_bound` finds from one matrix product with a
-    powers table made once per instance.  The value is the full circle's,
-    bit for bit: each elementwise operation of `_ratio` gives the same
-    bits on a gathered subset as on the whole circle, and every frequency
-    left out is certified below the maximum of those kept.
+    the grid.  `_ratio` computes it only where `_bound` allows the maximum.
+    It is the full circle's value bit for bit: `_ratio`'s elementwise
+    operations give the same bits on a gathered subset as on the whole
+    circle, and every frequency left out is certified below the maximum.
     """
 
     def __init__(self, n_h, d_u, d_s, p, q_bar, lam_grid):
@@ -85,6 +79,8 @@ class _Objective:
         k_theta = np.outer(np.arange(width), CIRCLE_ANGLES[: CIRCLE_ANGLES.size // 2 + 1])
         self.powers = np.concatenate([np.cos(k_theta), np.sin(k_theta)], axis=1)
         self.kappa = 64.0 * width * width * np.finfo(float).eps
+        self.lam_lo, self.lam_hi = float(lam_grid.min()), float(lam_grid.max())
+        self.lam_abs = float(np.abs(lam_grid).max())
         self.best = float("inf")
         self.best_v = None
 
@@ -122,8 +118,11 @@ class _Objective:
         return val
 
     def _ratio(self, coeffs, mask) -> float:
-        """The value's own arithmetic at the frequencies of mask: Horner,
-        |p0 - lam p1| at every lam, its minimum, the ratio and its maximum."""
+        """The value's own arithmetic at the frequencies of mask, a mask over
+        the lower half circle, and at their mirror images theta_(4096 - k)
+        (-theta_k to an ulp of pi): Horner, |p0 - lam p1| at every lam, its
+        minimum, the ratio and its maximum."""
+        mask = np.concatenate([mask, mask[-2:0:-1]])
         # a zero top coefficient gives Horner the same bits as the trimmed polynomial
         n, p0, p1 = npoly.polyval(self.z[mask], coeffs.T)
         den = np.abs(p0 - self.lam_grid[:, None] * p1).min(axis=0)
@@ -132,8 +131,9 @@ class _Objective:
         return float(np.max(np.abs(n) / np.maximum(den, 1e-300)))
 
     def _bound(self, coeffs) -> np.ndarray:
-        """Per frequency, an upper bound on what `_ratio` computes there, to
-        a factor 1 + kappa; +inf at every frequency if any bound fails.
+        """Per frequency of the lower half circle, an upper bound on what
+        `_ratio` computes there and at its mirror image, to a factor
+        1 + kappa; +inf at every frequency if any bound fails.
 
         The powers table gives approximations n~, p0~ and p1~ within
         e = kappa sum |c_k| of each polynomial's Horner value, with
@@ -148,21 +148,20 @@ class _Objective:
         err = self.kappa * np.abs(coeffs).sum(axis=1)
         # (polynomial, Re / Im, frequency)
         vals = (coeffs @ self.powers).reshape(3, 2, -1)
-        squares = vals * vals
+        squares = vals[::2] * vals[::2]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dot = vals[1] * vals[2]
             # p1~ = 0 gives 0 / 0, which fmin and fmax skip: any lam is the minimizer
-            lam = np.fmax(np.fmin((dot[0] + dot[1]) / (squares[2, 0] + squares[2, 1]),
-                                  self.lam_grid.max()), self.lam_grid.min())
+            lam = np.fmax(np.fmin((dot[0] + dot[1]) / (squares[1, 0] + squares[1, 1]),
+                                  self.lam_hi), self.lam_lo)
             gap = vals[1] - lam * vals[2]
             gap *= gap
-            dist = np.sqrt(gap[0] + gap[1]) - (err[1] + np.abs(self.lam_grid).max() * err[2])
+            dist = np.sqrt(gap[0] + gap[1]) - (err[1] + self.lam_abs * err[2])
             bound = (np.sqrt(squares[0, 0] + squares[0, 1]) + err[0]) / dist
         # a nonpositive distance leaves no bound: NaN, a negative or an infinite one
         if not (bound.min() >= 0.0 and bound.max() < np.inf):
             bound[:] = np.inf
-        # theta_(n - k) = -theta_k to an ulp of pi, well inside the budget
-        return np.concatenate([bound, bound[-2:0:-1]])
+        return bound
 
 
 class _OutOfBudget(Exception):
