@@ -390,8 +390,9 @@ RADIUS = 1.0 - STABILITY_MARGIN
 def margin_loops(draw):
     """(den, nums, lams): a monic den of degree 1 to 7 from drawn roots, at
     most one of them (or one conjugate pair) within 1e-3 of the margin
-    radius, on either side, and a stack of numerators scaled down to zero,
-    so the loops den - lam num take any root moduli, the margin's included."""
+    radius, on either side, and a stack of one or two numerators at a scale
+    from 0 to 1, so the loops den - lam num have roots of any modulus, and
+    at scale 0 roots 2e-9 from the margin radius."""
     q = draw(st.integers(1, 7))
     near = draw(st.sampled_from([None, -1e-3, -1e-8, -2e-9, 2e-9, 1e-8, 1e-3]))
     roots = []
