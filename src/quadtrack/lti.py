@@ -12,16 +12,16 @@ one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 curvatures at once: the roots of d_c - lam n_c lie inside the circle, and
 the controller carries the internal model, whose one rule is `_error_row`'s
 division: the factor d_u of the signal's persistent poles divides d_c up
-to roundoff.  No loop root is computed: `roots_stable` runs the
-Schur-Cohn recursion, `_schur_cohn`, on the loop polynomials scaled to the
-margin radius, the recursion that `_h2_table` runs too.  Every cost of an
-error loop -h / (1 - lam c) is read from that row, with no root
-cancellation: every summed H2 cost from one kernel,
-`loop_h2_stack`, which scores all the stable cells of a (controllers x
-curvatures) grid with one Astrom-Jury table, `_h2_table`, and every peak
-gain from `loop_peaks`, `hinf_norm` of `closed_loop_error_tf`, the row as
-a transfer function.  `closed_loop_error_tf` and the one-row
-`h2_norm_sq_exact` are also the tests' per-curvature oracle.
+to roundoff.  Every loop and denominator is tested by `roots_stable`, the
+Schur-Cohn recursion `_schur_cohn` scaled to the margin radius (a lone
+denominator is the lam = 0 loop with a zero numerator); roots are computed
+only in `factor_poles` and `h2_norm_sq_freq`, where they are the answer.
+Every cost of an error loop -h / (1 - lam c) is read from that row, with no
+root cancellation: every summed H2 cost from `loop_h2_stack`, one
+Astrom-Jury table, `_h2_table`, for all the stable cells of a (controllers
+x curvatures) grid, and every peak gain from `loop_peaks`, `_peak` of each
+stable cell.  `closed_loop_error_tf`, the row as a transfer function, and
+the one-row `h2_norm_sq_exact` are the tests' per-curvature oracle.
 """
 
 from dataclasses import dataclass
@@ -45,6 +45,7 @@ __all__ = [
     "h2_norm_sq_freq",
     "hinf_norm",
     "is_internally_stable",
+    "roots_stable",
     "loop_stable",
     "loop_h2_stack",
     "loop_peaks",
@@ -398,19 +399,16 @@ def _h2_table(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
 def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
     """Squared H2 norm by the Astrom-Jury table.
 
-    Returns +inf when any pole has modulus >= 1 - control_math.STABILITY_MARGIN.
-    For w = j_w + strictly proper part, the value is `_h2_table` of that
-    part.  Raises NotConverged where the table finds the denominator not
-    stable to working precision.
+    Returns +inf unless `roots_stable` finds every pole inside radius
+    1 - control_math.STABILITY_MARGIN.  For w = j_w + strictly proper part,
+    the value is `_h2_table` of that part.  Raises NotConverged where the
+    table finds the denominator not stable to working precision.
     """
     if w.is_zero:
         return 0.0
-    deg = w.degree
-    if deg == 0:
-        return float(w.num[0] ** 2)
-    poles = polynomial_roots(w.den)
-    if np.max(np.abs(poles)) >= 1.0 - STABILITY_MARGIN:
+    if not roots_stable(w.den, np.zeros(1), [0.0])[0]:
         return float("inf")
+    deg = w.degree
     jw = w.num[deg] if w.num.size == deg + 1 else 0.0
     # strictly proper part: w - j_w, whose z^deg coefficient is an exact zero
     sp_num = npoly.polysub(w.num, jw * w.den)[:deg]
@@ -436,10 +434,15 @@ def h2_norm_sq_freq(w: TransferFunctionSISO, n: int) -> float:
     return float(np.mean(np.abs(vals) ** 2))
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section maximization of a unimodal bracket."""
+def _peak(w: TransferFunctionSISO) -> float:
+    """sup |w| over the circle for a stable w: the 4096 `CIRCLE_POINTS`, then
+    golden-section maximization over the grid steps around the argmax."""
+    mags = np.abs(w(CIRCLE_POINTS))
+    k = int(np.argmax(mags))
+    step = 2.0 * np.pi / CIRCLE_ANGLES.size
+    f = lambda t: float(np.abs(w(np.exp(1j * t))))
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = CIRCLE_ANGLES[k] - step, CIRCLE_ANGLES[k] + step
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
@@ -452,28 +455,18 @@ def _golden_max(f, lo, hi):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    return max(fc, fd)
+    return max(float(mags[k]), max(fc, fd))
 
 
 def hinf_norm(w: TransferFunctionSISO) -> float:
-    """Peak gain sup |w(e^{i theta})| over the unit circle.
-
-    Search on the 4096 `CIRCLE_POINTS`, then golden-section refinement around
-    the grid argmax, accurate to a relative 1e-6.  Returns +inf when any
-    pole has modulus >= 1 - control_math.STABILITY_MARGIN.
-    """
+    """Peak gain sup |w(e^{i theta})| over the unit circle by `_peak`, accurate
+    to a relative 1e-6; +inf unless `roots_stable` finds every pole inside
+    radius 1 - control_math.STABILITY_MARGIN."""
     if w.is_zero:
         return 0.0
-    if w.degree > 0:
-        poles = polynomial_roots(w.den)
-        if np.max(np.abs(poles)) >= 1.0 - STABILITY_MARGIN:
-            return float("inf")
-    mags = np.abs(w(CIRCLE_POINTS))
-    k = int(np.argmax(mags))
-    step = 2.0 * np.pi / CIRCLE_ANGLES.size
-    f = lambda t: float(np.abs(w(np.exp(1j * t))))
-    refined = _golden_max(f, CIRCLE_ANGLES[k] - step, CIRCLE_ANGLES[k] + step)
-    return max(float(mags[k]), refined)
+    if not roots_stable(w.den, np.zeros(1), [0.0])[0]:
+        return float("inf")
+    return _peak(w)
 
 
 def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.ndarray:
@@ -528,13 +521,18 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
 def loop_peaks(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
     """Peak gain of the error loop -h / (1 - lam c), one per lam.
 
-    `hinf_norm` of `closed_loop_error_tf`, the `_error_row` of each loop,
-    where `loop_stable` holds, +inf where it does not.  Raises AlgebraicLoop
-    unless c is strictly proper.
+    The flags of `loop_stable`, from one `_error_row` and one `roots_stable`
+    call; `_peak` of each stable cell's row, with no second test, and +inf
+    elsewhere.  Raises AlgebraicLoop unless c is strictly proper.
     """
+    if not c.is_strictly_proper:
+        raise AlgebraicLoop("controller must be strictly proper")
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    stable = loop_stable(h, c, lams)
     peaks = np.full(lams.size, np.inf)
-    for k in np.flatnonzero(stable):
-        peaks[k] = hinf_norm(closed_loop_error_tf(h, c, float(lams[k])))
+    row = _error_row(h, c.den)
+    if row is None:
+        return peaks
+    w_num, s = row
+    for k in np.flatnonzero(roots_stable(c.den, c.num, lams)):
+        peaks[k] = _peak(TransferFunctionSISO(w_num, npoly.polymul(s, _loop_char(c, float(lams[k])))))
     return peaks

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .control_math import STABILITY_MARGIN, RngStream, chebyshev_grid
+from .control_math import RngStream, chebyshev_grid
 from .errors import InvalidBounds, NoStabilizingController, QuadtrackError
 from .evaluation import robust_cost
 from .lti import CIRCLE_ANGLES, CIRCLE_POINTS, StateSpaceSISO, TransferFunctionSISO, factor_poles, roots_stable, tf_to_ss
@@ -301,12 +301,13 @@ def hinf_synthesize(h: TransferFunctionSISO, interval: UncertaintyInterval,
     The reported `gamma` is the certified value max over the curvature
     grid of the peak gain of -h / (1 - lam c), computed with the
     full-precision norm routine on the selected controller.  This is
-    `precompensated_synthesize` restricted to stable models.
+    `precompensated_synthesize` restricted to stable models: InvalidBounds
+    unless `lti.roots_stable` finds every pole of h inside the margin.
 
     Raises NoStabilizingController when no search start yields a loop
     stable across the whole grid.
     """
-    if not h.is_zero and h.degree > 0 and np.max(np.abs(h.poles())) >= 1.0 - STABILITY_MARGIN:
+    if not h.is_zero and not roots_stable(h.den, np.zeros(1), [0.0])[0]:
         raise InvalidBounds("signal model must be stable here; use precompensated_synthesize")
     return precompensated_synthesize(h, interval, opts)
 

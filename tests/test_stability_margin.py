@@ -15,6 +15,9 @@ from quadtrack.lti import (
     factor_poles,
     h2_norm_sq_exact,
     hinf_norm,
+    loop_h2_stack,
+    loop_peaks,
+    loop_stable,
 )
 from quadtrack.scenario import make_scenario
 from quadtrack.synthesis import SynthesisOptions, hinf_synthesize
@@ -64,6 +67,13 @@ def test_stability_decisions_flip_together_at_the_margin(gap, in_band):
     assert _config_accepts("d_unstable", pole) == in_band
     assert _config_accepts("d_unstable", 1.0 + gap * STABILITY_MARGIN) == in_band
     assert _synthesis_rejects(h) == in_band
+    # the program's own loop flags: c = 0.1 / (z - pole + 0.1) puts the root
+    # of d_c - lam n_c at the pole for lam = 1
+    c = TransferFunctionSISO([0.1], [0.1 - pole, 1.0])
+    plant = TransferFunctionSISO([1.0], [-0.5, 1.0])
+    assert loop_stable(plant, c, [1.0])[0] != in_band
+    assert np.isinf(loop_peaks(plant, c, [1.0])[0]) == in_band
+    assert np.isinf(loop_h2_stack(plant, c.den, [c.num], [1.0])[0, 0]) == in_band
 
 
 RESONANCE = [1.0, -2.0 * math.cos(math.pi / 12.0), 1.0]
