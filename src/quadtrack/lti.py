@@ -340,29 +340,36 @@ def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
     if not c.is_strictly_proper:
         raise AlgebraicLoop("controller must be strictly proper")
     row = _error_row(h, c.den)
-    w_num, s = row if row is not None else (-npoly.polymul(h.num, c.den), h.den)
-    return TransferFunctionSISO(w_num, npoly.polymul(s, _loop_char(c, lam)))
+    return _row_tf(row if row is not None else (-npoly.polymul(h.num, c.den), h.den), c, lam)
+
+
+def _row_tf(row: tuple, c: TransferFunctionSISO, lam: float) -> TransferFunctionSISO:
+    """w_num / (s (d_c - lam n_c)) for the `_error_row` row (w_num, s)."""
+    return TransferFunctionSISO(row[0], npoly.polymul(row[1], _loop_char(c, lam)))
+
+
+def _loop_row_flags(h: TransferFunctionSISO, c: TransferFunctionSISO, lams: np.ndarray) -> tuple:
+    """(`_error_row` of c, the `loop_stable` flags); see loop_stable."""
+    if not c.is_strictly_proper:
+        raise AlgebraicLoop("controller must be strictly proper")
+    row = _error_row(h, c.den)
+    return row, np.zeros(lams.size, dtype=bool) if row is None else roots_stable(c.den, c.num, lams)
 
 
 def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
     """Internal stability of the (h, lam, c) error loop, one flag per lam.
 
     Two conditions: every root of the loop characteristic polynomial
-    d_c - lam n_c lies strictly inside the unit circle, and the controller
-    carries an internal model of the persistent signal dynamics: the
-    factor d_u of the signal model's non-decaying poles divides d_c, the
-    rule of `_error_row`.  Exogenous stable signal poles are allowed to
-    remain: they shape the noise but decay on their own.  The second
-    condition does not depend on lam, so it is tested once.
+    d_c - lam n_c lies inside radius 1 - STABILITY_MARGIN (`roots_stable`),
+    and the controller carries an internal model of the persistent signal
+    dynamics: the factor d_u of the signal model's non-decaying poles
+    divides d_c, the rule of `_error_row`.  Exogenous stable signal poles
+    are allowed to remain: they shape the noise but decay on their own.
+    The second condition does not depend on lam, so it is tested once.
 
     Raises AlgebraicLoop unless c is strictly proper.
     """
-    if not c.is_strictly_proper:
-        raise AlgebraicLoop("controller must be strictly proper")
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if _error_row(h, c.den) is None:
-        return np.zeros(lams.size, dtype=bool)
-    return roots_stable(c.den, c.num, lams)
+    return _loop_row_flags(h, c, np.atleast_1d(np.asarray(lams, dtype=float)))[1]
 
 
 def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
@@ -525,14 +532,7 @@ def loop_peaks(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.nda
     call; `_peak` of each stable cell's row, with no second test, and +inf
     elsewhere.  Raises AlgebraicLoop unless c is strictly proper.
     """
-    if not c.is_strictly_proper:
-        raise AlgebraicLoop("controller must be strictly proper")
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    peaks = np.full(lams.size, np.inf)
-    row = _error_row(h, c.den)
-    if row is None:
-        return peaks
-    w_num, s = row
-    for k in np.flatnonzero(roots_stable(c.den, c.num, lams)):
-        peaks[k] = _peak(TransferFunctionSISO(w_num, npoly.polymul(s, _loop_char(c, float(lams[k])))))
-    return peaks
+    row, flags = _loop_row_flags(h, c, lams)
+    return np.array([_peak(_row_tf(row, c, lam)) if ok else np.inf
+                     for lam, ok in zip(lams.tolist(), flags.tolist())])

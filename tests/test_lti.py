@@ -419,6 +419,15 @@ def margin_loops(draw):
     return den, nums, lams
 
 
+def mp_roots(coeffs):
+    """The roots of the ascending mpf coefficients at the working precision.
+    Exact roots at 0 come off first: mpmath's iteration does not converge
+    on z^q for q >= 5."""
+    zeros = next(k for k, c in enumerate(coeffs) if c != 0)
+    return [mpmath.mpf(0)] * zeros + list(
+        mpmath.polyroots(coeffs[zeros:][::-1], maxsteps=400, extraprec=200))
+
+
 # (z - 1)(z - c): a near-double root, whose companion eigenvalues both
 # come out inside the margin radius
 @example((np.array([0.999999997335387, -1.999999997335387, 1.0]), np.zeros((1, 0)),
@@ -442,11 +451,7 @@ def test_roots_stable_matches_the_60_digit_roots(case):
             loop = [mpmath.mpf(float(c)) for c in den]
             for k, c in enumerate(num):
                 loop[k] -= mpmath.mpf(float(lam)) * mpmath.mpf(float(c))
-            # exact roots at 0 come off first: mpmath's iteration does not
-            # converge on z^q for q >= 5
-            zeros = next(k for k, c in enumerate(loop) if c != 0)
-            moduli = [mpmath.mpf(0)] * zeros + [
-                abs(r) for r in mpmath.polyroots(loop[zeros:][::-1], maxsteps=400, extraprec=200)]
+            moduli = [abs(r) for r in mp_roots(loop)]
             if all(abs(m - radius) > 1e-9 for m in moduli):
                 assert flag == all(m < radius for m in moduli)
 
@@ -614,6 +619,23 @@ def assert_within_condition(value, w):
     assert abs(value - exact) <= (1e-12 + 1e4 * 2.0 ** -52 * kappa) * exact
 
 
+def margin_backward_error(den):
+    """A relative change of den's coefficients that puts a root on the
+    margin radius R, by den's roots at 60 digits: 0 where a root already
+    lies on or outside R, else the least over the roots r of
+    |den(z)| / sum |c_k| |z|^k at z = R r / |r|, the point of that circle
+    nearest r (a change of each c_k by at most that fraction makes z a root)."""
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(float(c)) for c in den]
+        radius = mpmath.mpf(RADIUS)
+        roots = mp_roots(coeffs)
+        if max(abs(r) for r in roots) >= radius:
+            return 0.0
+        scale = sum(abs(c) * radius ** k for k, c in enumerate(coeffs))
+        return float(min(abs(mpmath.polyval(coeffs[::-1], radius * r / abs(r) if r else radius))
+                         for r in roots) / scale)
+
+
 @given(stable_tfs())
 def test_h2_exact_matches_the_60_digit_table(w):
     assume(np.max(np.abs(polynomial_roots(w.den))) < 1.0 - STABILITY_MARGIN)
@@ -622,16 +644,18 @@ def test_h2_exact_matches_the_60_digit_table(w):
 
 @given(stable_tfs(near_margin=True))
 def test_h2_exact_near_the_margin_is_right_or_refuses(w):
-    # +inf for a pole within the margin, a refusal, or the right value.  The
-    # Schur-Cohn test and the companion eigenvalues may disagree on a pole
-    # within 1e-9 of the margin radius, the band in which
-    # test_roots_stable_matches_the_60_digit_roots accepts either answer
+    # +inf for a pole within the margin, a refusal, or the right value.  A
+    # +inf on a den whose roots all lie inside the margin radius is right
+    # only where rounding den's coefficients can move a root onto it: over
+    # 24 000 random draws (2 276 of them +inf) the change needed reached
+    # 26 eps, and among those dens are clusters near 0.999 beside a pole
+    # that the companion eigenvalues put up to 2.2e-7 inside the radius
     try:
         value = h2_norm_sq_exact(w)
     except NotConverged:
         return
     if value == float("inf"):
-        assert np.max(np.abs(polynomial_roots(w.den))) >= RADIUS - 1e-9
+        assert margin_backward_error(w.den) <= 1e3 * 2.0 ** -52
         return
     assert_within_condition(value, w)
 
