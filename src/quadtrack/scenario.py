@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_math import STABILITY_MARGIN, RngStream, random_orthogonal, spectral_radius
+from .control_math import RngStream, random_orthogonal
 from .errors import DimensionMismatch, InvalidBounds, InvalidSpectrum
 from .lti import StateSpaceSISO
 
@@ -143,10 +143,6 @@ class QuadraticScenario:
             raise ValueError("basis is not orthogonal")
         if np.linalg.norm(self.hessian - self.hessian.T) > 1e-12:
             raise ValueError("hessian is not symmetric")
-
-    @property
-    def model_is_stable(self) -> bool:
-        return spectral_radius(self.model.F) < 1.0 - STABILITY_MARGIN
 
 
 def make_scenario(n: int, lambda_min: float, lambda_max: float,

@@ -29,7 +29,7 @@ from .errors import InvalidBounds, NoStabilizingController, QuadtrackError
 from .evaluation import robust_cost
 from .lti import CIRCLE_ANGLES, CIRCLE_POINTS, StateSpaceSISO, TransferFunctionSISO, factor_poles, roots_stable, tf_to_ss
 from .scenario import STREAM_SYNTH_BASE
-from .trackers import KIND_HINF, TrackerController, UncertaintyInterval, kalman_gain, mu_star_search
+from .trackers import KIND_HINF, TrackerController, UncertaintyInterval, make_kalman_tracker, mu_star_search
 
 __all__ = ["SynthesisOptions", "hinf_synthesize", "precompensated_synthesize"]
 
@@ -248,7 +248,7 @@ def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
 
     The filter controller's denominator is the full model characteristic
     polynomial d_u d_s, so dividing out d_u / p leaves cbar = n_K / (p d_s)
-    exactly; the numerator is taken from the determinant identity.  The
+    exactly, with n_K the numerator of `make_kalman_tracker`.  The
     curvature knob is tuned against the synthesis grid itself, so whenever
     the filter structure can stabilize the whole grid the start is live,
     not a dead point the search must first escape.  A constant h (white-noise signal) has no
@@ -263,19 +263,13 @@ def _kalman_start(h: TransferFunctionSISO, lam_grid: np.ndarray,
     plant = tf_to_ss(ss_num)
     model = StateSpaceSISO(plant.F, plant.G, plant.H, jh)
     try:
-        gain = kalman_gain(model)
-        mu = mu_star_search(model, lam_grid)
+        n_k = make_kalman_tracker(model, mu_star_search(model, lam_grid)).tf.num
     except (QuadtrackError, np.linalg.LinAlgError):
         return None
-    a_desc = np.poly(model.F)
-    # det(zI - F - vH) = d(z) - H adj(zI - F) v, so this difference is
-    # -H adj(zI - F) K / mu descending: already the controller numerator
-    num_desc = np.poly(model.F + np.outer(gain / mu, model.H)) - a_desc
-    n_k = num_desc[::-1][:m]
-    # cbar = z^pad n_K / (z^pad p d_s): both padded to order q_bar, and the
-    # monic leading coefficient of the denominator left implicit
+    # cbar = z^pad n_K / (z^pad p d_s): n_K zero-padded to width m, both padded
+    # to order q_bar, and the monic leading coefficient of the denominator left implicit
     pad = np.zeros(q_bar - m)
-    return np.concatenate([pad, n_k, pad, npoly.polymul(p, d_s)[:m]])
+    return np.concatenate([pad, n_k, np.zeros(m - n_k.size), pad, npoly.polymul(p, d_s)[:m]])
 
 
 def _random_start(q_bar: int, rng: RngStream) -> np.ndarray:

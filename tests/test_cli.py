@@ -347,6 +347,30 @@ def test_sweep_fills_the_hinf_cells_of_a_repeated_persistent_factor(tmp_path, d_
     assert hinf <= 1.05 * kalman
 
 
+def test_gd_runs_on_a_random_walk_minimizer(tmp_path):
+    """Gradient descent's integrator 1 / (z - 1) is the internal model of a
+    random walk, so its loop is stable on this persistent model: the sweep
+    fills both gd cells, the Monte Carlo one within 5% of the analytic one,
+    and the trace fills err_gd."""
+    scenario = {"n": 2, "lambda_min": 1.0, "lambda_max": 1.5, "sigma": 1.0,
+                "d_stable": [-0.5, 1.0], "d_unstable": [-1.0, 1.0], "j": 1.0, "seed": 1}
+    doc = {"scenario": scenario,
+           "trackers": {"use": ["gd", "kalman", "hinf"], "hinf_grid": 5, "synthesis_starts": 2,
+                        "synthesis_max_evals": 300},
+           "run": {"horizon": 2000, "reps": 2,
+                   "sweep": {"param": "lambda_max", "lo": 1.5, "hi": 1.5, "points": 1}}}
+    _, gd, gd_emp, _, _, _, _ = sweep_row(tmp_path / "sweep", doc)
+    assert gd is not None and gd_emp is not None
+    assert gd_emp == pytest.approx(gd, rel=0.05)
+    trace = {"scenario": scenario, "trackers": {"use": ["gd", "kalman"]},
+             "run": {"horizon": 200, "window": 10},
+             "output": {"dir": str(tmp_path), "name": "t.csv"}}
+    assert main(["run", "--config", write_config(tmp_path / "t.json", trace)]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 200 and all(row[1] != "" for row in rows)
+
+
 def test_sweep_with_failed_synthesis_leaves_hinf_cells_empty(tmp_path):
     # persistent model with a one-start, 100-evaluation search: at this
     # seed synthesis finds no stabilizing controller at either point

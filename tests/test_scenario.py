@@ -113,7 +113,6 @@ def test_make_scenario_consistency():
     assert np.all(sc.spectrum >= 1.0) and np.all(sc.spectrum <= 3.5)
     assert np.allclose(np.sort(np.linalg.eigvalsh(sc.hessian)),
                        np.sort(sc.spectrum), atol=1e-10)
-    assert sc.model_is_stable
 
 
 def test_scenario_rejects_spectrum_outside_bounds():
@@ -123,12 +122,3 @@ def test_scenario_rejects_spectrum_outside_bounds():
             n=3, lambda_min=1.0, lambda_max=2.0,
             spectrum=np.array([0.5, 1.5, 1.8]), basis=sc.basis,
             hessian=sc.hessian, model=sc.model, sigma=1.0, seed=1)
-
-
-def test_scenario_detects_unstable_model():
-    d_u = np.array([1.0, -2.0 * np.cos(np.pi / 12.0), 1.0])
-    d_s = np.polynomial.polynomial.polyfromroots([0.875, 0.875])
-    f, h = observable_canonical(np.polynomial.polynomial.polymul(d_u, d_s))
-    model = StateSpaceSISO(f, np.ones(4), h, 1.0)
-    sc = make_scenario(4, 1.0, 3.3, model, 1.0, seed=2)
-    assert not sc.model_is_stable

@@ -10,7 +10,6 @@ from quadtrack.config import validate_config
 from quadtrack.control_math import STABILITY_MARGIN
 from quadtrack.errors import ConfigError, InvalidBounds, NoStabilizingController
 from quadtrack.lti import (
-    StateSpaceSISO,
     TransferFunctionSISO,
     factor_poles,
     h2_norm_sq_exact,
@@ -19,7 +18,6 @@ from quadtrack.lti import (
     loop_peaks,
     loop_stable,
 )
-from quadtrack.scenario import make_scenario
 from quadtrack.synthesis import SynthesisOptions, hinf_synthesize
 from quadtrack.trackers import UncertaintyInterval
 
@@ -60,8 +58,6 @@ def test_stability_decisions_flip_together_at_the_margin(gap, in_band):
     h = TransferFunctionSISO([1.0], [-pole, 1.0])
     assert np.isinf(h2_norm_sq_exact(h)) == in_band
     assert np.isinf(hinf_norm(h)) == in_band
-    model = StateSpaceSISO([[pole]], [1.0], [1.0], 0.0)
-    assert make_scenario(1, 1.0, 2.0, model, 1.0, seed=1).model_is_stable != in_band
     assert factor_poles(h)[1].size - 1 == int(in_band)
     assert _config_accepts("d_stable", pole) != in_band
     assert _config_accepts("d_unstable", pole) == in_band
