@@ -25,6 +25,7 @@ the one-row `h2_norm_sq_exact` are the tests' per-curvature oracle.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -281,10 +282,19 @@ def roots_stable(den: np.ndarray, num: np.ndarray, lams) -> np.ndarray:
     """
     lams = np.asarray(lams, dtype=float)
     q = den.size - 1
-    wide = np.zeros(num.shape[:-1] + (q + 1,))
-    wide[..., : num.shape[-1]] = num
-    loops = (den - lams[:, None] * wide[..., None, :]) * (1.0 - STABILITY_MARGIN) ** np.arange(q + 1)
-    return _schur_cohn(np.moveaxis(loops[..., ::-1], -1, 0))[0]
+    # built descending, (q + 1, *stack, lam), the layout `_schur_cohn` reads
+    wide = np.zeros((q + 1,) + num.shape[:-1] + (1,))
+    wide[q + 1 - num.shape[-1]:, ..., 0] = num[..., ::-1].T
+    scale = _radius_powers(q, wide.ndim)
+    return _schur_cohn((den[::-1].reshape(scale.shape) - wide * lams) * scale)[0]
+
+
+@cache
+def _radius_powers(q: int, ndim: int) -> np.ndarray:
+    """R^q, ..., R, 1 down the first axis of an ndim array, R = 1 - STABILITY_MARGIN."""
+    powers = ((1.0 - STABILITY_MARGIN) ** np.arange(q + 1))[::-1].reshape((q + 1,) + (1,) * (ndim - 1))
+    powers.flags.writeable = False
+    return powers
 
 
 def factor_poles(h: TransferFunctionSISO) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

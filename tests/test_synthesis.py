@@ -12,6 +12,7 @@ from quadtrack.control_math import chebyshev_grid
 from quadtrack.errors import InvalidBounds, NoStabilizingController
 from quadtrack.evaluation import robust_cost
 from quadtrack.lti import (
+    CIRCLE_POINTS,
     StateSpaceSISO,
     TransferFunctionSISO,
     closed_loop_error_tf,
@@ -252,9 +253,9 @@ def reference_objective(obj, v):
         return float("inf")
     if not roots_stable(base, pert, obj.lam_grid).all():
         return float("inf")
-    num_v = np.abs(npoly.polyval(obj.z, npoly.polymul(obj.n_h, d_cbar)))
-    p0 = npoly.polyval(obj.z, npoly.polymul(obj.d_s, base))
-    p1 = npoly.polyval(obj.z, npoly.polymul(obj.d_s, pert))
+    num_v = np.abs(npoly.polyval(CIRCLE_POINTS, npoly.polymul(obj.n_h, d_cbar)))
+    p0 = npoly.polyval(CIRCLE_POINTS, npoly.polymul(obj.d_s, base))
+    p1 = npoly.polyval(CIRCLE_POINTS, npoly.polymul(obj.d_s, pert))
     den_v = np.abs(p0[None, :] - obj.lam_grid[:, None] * p1[None, :])
     return float(np.max(num_v[None, :] / np.maximum(den_v, 1e-300)))
 
@@ -288,8 +289,8 @@ def test_objective_divides_by_the_smallest_denominator_bit_for_bit():
 def test_objective_reuses_its_buffers_without_stale_values():
     """One instance, which reuses its powers table, scores a shuffled mix of
     feasible, loop-unstable and non-finite vectors with the values of the
-    whole-circle formula and of a fresh instance, so no state carries
-    between calls, and the best vector it keeps is a copy."""
+    whole-circle formula and of a fresh instance, so no carried state
+    changes a value, and the best vector it keeps is a copy."""
     rng = np.random.default_rng(12)
     for model, (lo, hi) in [(stable_model(), (1.0, 3.5)), (unstable_model(j=1.85), (2.0, 3.3))]:
         h = ss_to_tf(model)
@@ -349,23 +350,28 @@ def objective_cases(draw):
 
 # an all-pass signal model (z + 0.5) / (0.5 z + 1) with n_cbar = 0: the gain
 # is 1 on the whole circle, so every frequency ties for the maximum
-@example(((np.array([1.0, 0.5]), np.ones(1), np.array([0.5, 1.0]), np.ones(1), 1,
-           chebyshev_grid(1.0, 3.5, 9)), np.array([0.0, 0.3])))
+ALL_PASS = ((np.array([1.0, 0.5]), np.ones(1), np.array([0.5, 1.0]), np.ones(1), 1,
+             chebyshev_grid(1.0, 3.5, 9)), np.array([0.0, 0.3]))
 # d_cbar = (z - 0.999)^3 with n_cbar = 0: |p0| at z = 1 is far below the
 # budget kappa sum |c_k|, so no frequency has a finite bound
-@example((objective_args(ss_to_tf(stable_model()), chebyshev_grid(1.0, 3.5, 9))[:4]
-          + (3, chebyshev_grid(1.0, 3.5, 9)),
-          np.concatenate([np.zeros(3), npoly.polyfromroots([0.999] * 3)[:3]])))
+NO_BOUND = (objective_args(ss_to_tf(stable_model()), chebyshev_grid(1.0, 3.5, 9))[:4]
+            + (3, chebyshev_grid(1.0, 3.5, 9)),
+            np.concatenate([np.zeros(3), npoly.polyfromroots([0.999] * 3)[:3]]))
 # a high-gain loop of the sweep-lmax-unstable preset at lambda_max 2.3: the
 # bound at the top frequency is loose, so the candidate set must widen
-@example(((np.array([1.765624999999999, -2.2290739215051367, 6.146365392011741,
-                     -2.6818516525781386, 1.0]),
-           np.array([1.0000000000000322, -1.9318516525781788, 1.0]),
-           np.array([0.7656249999999758, -1.749999999999957, 1.0]), np.array([0.0, 0.0, 1.0]), 4,
-           chebyshev_grid(1.0, 2.3, 33)),
-          np.array([0.07091963130853919, 0.037249944024221326, -0.2961202646594561,
-                    -0.11142086105958755, 0.0010314583813043968, -0.15898150605117378,
-                    0.783903757076148, 0.019930831320809313])))
+WIDENING = ((np.array([1.765624999999999, -2.2290739215051367, 6.146365392011741,
+                       -2.6818516525781386, 1.0]),
+             np.array([1.0000000000000322, -1.9318516525781788, 1.0]),
+             np.array([0.7656249999999758, -1.749999999999957, 1.0]), np.array([0.0, 0.0, 1.0]), 4,
+             chebyshev_grid(1.0, 2.3, 33)),
+            np.array([0.07091963130853919, 0.037249944024221326, -0.2961202646594561,
+                      -0.11142086105958755, 0.0010314583813043968, -0.15898150605117378,
+                      0.783903757076148, 0.019930831320809313]))
+
+
+@example(ALL_PASS)
+@example(NO_BOUND)
+@example(WIDENING)
 @settings(max_examples=60)
 @given(objective_cases())
 def test_objective_is_the_whole_circle_value_bit_for_bit(case):
@@ -373,6 +379,101 @@ def test_objective_is_the_whole_circle_value_bit_for_bit(case):
     formula exactly, +inf included."""
     args, v = case
     assert _Objective(*args)(v) == reference_objective(_Objective(*args), v)
+
+
+def shrinking_walk(start, signs):
+    """start, then steps of 1e-2, 1e-3, ..., 1e-10 along the signs."""
+    vs = [start]
+    for k in range(2, 11):
+        vs.append(vs[-1] + 10.0 ** -k * np.asarray(signs))
+    return vs
+
+
+def alternating(size):
+    return np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+
+
+@st.composite
+def objective_walks(draw):
+    """(args, vs): `_Objective`'s arguments as in `objective_cases`, and a
+    walk of points for one instance: the filter start (or a wide draw where
+    there is none), steps shrinking from 1e-2 to 1e-10, then a mix of
+    steps, jumps back near the start, and non-finite and loop-unstable
+    vectors, which leave the walk where it was."""
+    args, _ = draw(objective_cases())
+    n_h, d_u, d_s, p, q_bar, lam_grid = args
+    model = unstable_model(j=1.85) if d_u.size > 1 else stable_model()
+    start = _kalman_start(ss_to_tf(model), lam_grid, d_s, p, q_bar)
+    if start is None:
+        n_cbar = draw(st.lists(st.floats(-3.0, 3.0), min_size=q_bar, max_size=q_bar))
+        roots = draw(st.lists(st.floats(-0.9, 0.9), min_size=q_bar, max_size=q_bar))
+        start = np.concatenate([n_cbar, npoly.polyfromroots(roots)[:q_bar]])
+
+    def direction():
+        return np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=start.size,
+                                      max_size=start.size)))
+
+    vs = shrinking_walk(start, direction())
+    here = vs[-1]
+    for move in draw(st.lists(st.sampled_from(["step", "jump", "non-finite", "unstable"]),
+                              min_size=4, max_size=16)):
+        if move == "step":
+            here = here + 10.0 ** -draw(st.integers(2, 10)) * direction()
+            vs.append(here)
+        elif move == "jump":
+            here = start + draw(st.sampled_from([1e-3, 0.1, 1.0])) * direction()
+            vs.append(here)
+        elif move == "non-finite":
+            v = here.copy()
+            v[draw(st.integers(0, v.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            vs.append(v)
+        else:
+            # n_cbar = 0 and a denominator root at 1.5: unstable at every lam
+            d_cbar = npoly.polyfromroots([1.5] + [0.0] * (q_bar - 1))
+            vs.append(np.concatenate([np.zeros(q_bar), d_cbar[:q_bar]]))
+    return args, vs
+
+
+@example((ALL_PASS[0], shrinking_walk(ALL_PASS[1], alternating(2))))
+@example((NO_BOUND[0], shrinking_walk(NO_BOUND[1], alternating(6))))
+@example((WIDENING[0], shrinking_walk(WIDENING[1], alternating(8))))
+@settings(max_examples=40, deadline=None)
+@given(objective_walks())
+def test_objective_walk_keeps_the_whole_circle_value(case):
+    """One instance along a walk, which reuses its last screen wherever that
+    certifies the point: every value equals the whole-circle formula and a
+    fresh instance's, +inf included."""
+    args, vs = case
+    obj = _Objective(*args)
+    for v in vs:
+        value = obj(v)
+        assert value == reference_objective(obj, v)
+        assert value == _Objective(*args)(v)
+
+
+def test_objective_reuses_its_screen_for_small_steps(monkeypatch):
+    """Along the shrinking walk from the filter start the last screen
+    certifies the small steps, and a jump sends the point back to a full
+    screen; the values stay the whole-circle ones."""
+    from quadtrack import synthesis
+
+    outcomes = []
+    reuse = synthesis._Objective._reuse
+
+    def counted(self, x):
+        val = reuse(self, x)
+        outcomes.append(val is not None)
+        return val
+
+    monkeypatch.setattr(synthesis._Objective, "_reuse", counted)
+    h = ss_to_tf(stable_model())
+    args = objective_args(h, chebyshev_grid(1.0, 3.5, 9))
+    obj = _Objective(*args)
+    start = _kalman_start(h, args[-1], args[2], args[3], h.degree)
+    vs = shrinking_walk(start, alternating(start.size)) + [start + 1e-2 * alternating(start.size)]
+    for v in vs:
+        assert obj(v) == reference_objective(obj, v)
+    assert sum(outcomes) >= 4 and outcomes[-1] is False
 
 
 @st.composite
