@@ -95,7 +95,7 @@ class ScenarioSpec:
     d_stable: np.ndarray
     d_unstable: np.ndarray
     j: float
-    g: object
+    g: np.ndarray
     seed: int
 
 
@@ -166,22 +166,21 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
     j = _as_real(_get(doc, "j", path, True), _ctx(path, "j"))
     g = _get(doc, "g", path, False, "ones")
     order = d_stable.size + d_unstable.size - 2
-    if isinstance(g, str):
-        if g != "ones":
-            raise ConfigError(f"{_ctx(path, 'g')} must be \"ones\" or a coefficient list")
+    if g == "ones":
+        g = np.ones(order)
+    elif not isinstance(g, (list, tuple)) or len(g) == 0:
+        raise ConfigError(f"{_ctx(path, 'g')} must be \"ones\" or a coefficient list")
     else:
-        if not isinstance(g, (list, tuple)) or len(g) == 0:
-            raise ConfigError(f"{_ctx(path, 'g')} must be \"ones\" or a coefficient list")
-        g = [_as_real(v, _ctx(path, "g")) for v in g]
-        if len(g) != order:
+        g = np.array([_as_real(v, _ctx(path, "g")) for v in g])
+        if g.size != order:
             raise ConfigError(f"{_ctx(path, 'g')} must have length {order} "
-                              f"(the model order), got {len(g)}")
-        if j == 0.0 and not any(g):
+                              f"(the model order), got {g.size}")
+        if j == 0.0 and not g.any():
             raise ConfigError(f"{_ctx(path, 'g')} is all zeros and j is 0: the signal "
                               f"model is zero, so the minimizer never moves")
     # h = b / (d_u d_s) + j, and the observable realization's b is g reversed; where
     # b vanishes at a persistent root, that mode is never excited, whatever j is
-    b = np.ones(order) if isinstance(g, str) else np.array(g[::-1])
+    b = g[::-1]
     if d_unstable.size > 1 and min(abs(npoly.polyval(modes, b))) <= 1e-8 * sum(abs(b)):
         raise ConfigError(f"{_ctx(path, 'g')} hides a persistent mode: the signal model's "
                           f"numerator vanishes at a root of {_ctx(path, 'd_unstable')}")
@@ -269,8 +268,7 @@ def _validate_run(doc, scenario: ScenarioSpec, path="run") -> RunSpec:
                      minimum=1)
     if points == 1 and lo != hi:
         raise ConfigError(f"{spath}: a 1-point sweep needs lo == hi, got [{lo}, {hi}]")
-    zero_g = not isinstance(scenario.g, str) and not any(scenario.g)
-    if param == "j" and zero_g and lo <= 0.0 <= hi:
+    if param == "j" and not scenario.g.any() and lo <= 0.0 <= hi:
         raise ConfigError(f"{spath}: scenario.g is all zeros, so the swept j reaches the "
                           f"zero signal model at j = 0")
     if param == "lambda_max" and lo < scenario.lambda_min:
@@ -318,7 +316,6 @@ def build_scenario(spec: ScenarioSpec) -> QuadraticScenario:
     """
     char = npoly.polymul(spec.d_unstable, spec.d_stable)
     f, h = observable_canonical(char)
-    g = np.ones(char.size - 1) if isinstance(spec.g, str) else np.asarray(spec.g, dtype=float)
-    model = StateSpaceSISO(f, g, h, spec.j)
+    model = StateSpaceSISO(f, spec.g, h, spec.j)
     return make_scenario(spec.n, spec.lambda_min, spec.lambda_max, model, spec.sigma,
                          spec.seed)

@@ -18,10 +18,12 @@ x curvatures) grid.  `roots_stable` is the Schur-Cohn recursion scaled to
 the margin radius, and tests every loop and denominator (a lone one is the
 lam = 0 loop with a zero numerator); roots are computed only in
 `factor_poles` and `h2_norm_sq_freq`, where they are the answer.  Every
-cost of a loop is read from that row, with no root cancellation: every H2
+cost of a loop is read from that row over the one cell polynomial
+s (d_c - lam n_c) that `_cells` builds, with no root cancellation: every H2
 cell from one Astrom-Jury table, `_h2_cells`, every peak gain from
-`loop_peaks`.  `closed_loop_error_tf`, the row as a transfer function, and
-the one-row `h2_norm_sq_exact` are the tests' per-curvature oracle.
+`loop_peaks`.  `closed_loop_error_tf`, the same row and cell as a transfer
+function, and the one-row `h2_norm_sq_exact` are the tests' per-curvature
+oracle.
 """
 
 from dataclasses import dataclass
@@ -228,11 +230,6 @@ def tf_to_ss(tf: TransferFunctionSISO) -> StateSpaceSISO:
     return StateSpaceSISO(f, g, h, 0.0)
 
 
-def _loop_char(c: TransferFunctionSISO, lam: float) -> np.ndarray:
-    """Characteristic polynomial d_c - lam * n_c of the feedback loop."""
-    return _trim(npoly.polysub(c.den, lam * c.num))
-
-
 def _shares_den(h: TransferFunctionSISO, den: np.ndarray) -> bool:
     """Whether a controller denominator equals d_h coefficient-wise (the filter tracker's case)."""
     den_scale = float(np.max(np.abs(h.den)))
@@ -336,28 +333,6 @@ def _error_row(h: TransferFunctionSISO, c_den: np.ndarray) -> tuple | None:
     return npoly.polymul(-n_h, quo), d_s
 
 
-def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
-                         lam: float) -> TransferFunctionSISO:
-    """Noise-to-error transfer function -h / (1 - lam * c), with no root cancellation.
-
-    The `_error_row` row w_num / (s (d_c - lam n_c)).  Where the controller
-    does not carry the internal model it is the unreduced
-    -n_h d_c / (d_h (d_c - lam n_c)), which keeps the persistent poles, so
-    its norms read +inf.
-
-    Raises AlgebraicLoop unless c is strictly proper.
-    """
-    if not c.is_strictly_proper:
-        raise AlgebraicLoop("controller must be strictly proper")
-    row = _error_row(h, c.den)
-    return _row_tf(row if row is not None else (-npoly.polymul(h.num, c.den), h.den), c, lam)
-
-
-def _row_tf(row: tuple, c: TransferFunctionSISO, lam: float) -> TransferFunctionSISO:
-    """w_num / (s (d_c - lam n_c)) for the `_error_row` row (w_num, s)."""
-    return TransferFunctionSISO(row[0], npoly.polymul(row[1], _loop_char(c, lam)))
-
-
 def _loops(h: TransferFunctionSISO, den, nums, lams: np.ndarray) -> tuple:
     """The error loops of the controllers nums[i] / den at every lam.
 
@@ -378,6 +353,37 @@ def _loops(h: TransferFunctionSISO, den, nums, lams: np.ndarray) -> tuple:
     row = _error_row(h, c_den)
     flags = np.zeros((len(cs), lams.size), dtype=bool) if row is None else roots_stable(c_den, padded, lams)
     return row, c_den, padded, flags
+
+
+def _cells(row: tuple, c_den, padded, lams, rows, cols) -> np.ndarray:
+    """s (d_c - lams[cols[k]] padded[rows[k]]) per cell k, ascending, one per row.
+
+    The one builder of a (controller, lam) loop polynomial: with the
+    `_error_row` row (w_num, s) and the rest from `_loops`, row k is the
+    denominator of every cost of cell k, w_num / row k.  rows may be one
+    controller index for all the cells.
+    """
+    loops = np.tile(c_den, (len(cols), 1))
+    loops[:, : c_den.size - 1] -= lams[cols, None] * padded[rows]
+    return loops if row[1].size == 1 else np.array([npoly.polymul(row[1], loop) for loop in loops])
+
+
+def closed_loop_error_tf(h: TransferFunctionSISO, c: TransferFunctionSISO,
+                         lam: float) -> TransferFunctionSISO:
+    """Noise-to-error transfer function -h / (1 - lam * c), with no root cancellation.
+
+    The `_error_row` row over its `_cells` polynomial,
+    w_num / (s (d_c - lam n_c)), from the `_loops` front.  Where the
+    controller does not carry the internal model it is the unreduced
+    -n_h d_c / (d_h (d_c - lam n_c)), which keeps the persistent poles, so
+    its norms read +inf.
+
+    Raises AlgebraicLoop unless c is strictly proper.
+    """
+    lams = np.array([float(lam)])
+    row, c_den, padded, _ = _loops(h, c.den, c.num, lams)
+    row = row or (-npoly.polymul(h.num, c_den), h.den)
+    return TransferFunctionSISO(row[0], _cells(row, c_den, padded, lams, 0, [0])[0])
 
 
 def loop_stable(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
@@ -470,8 +476,9 @@ def h2_norm_sq_freq(w: TransferFunctionSISO, n: int) -> float:
 
 
 def _peak(w: TransferFunctionSISO) -> float:
-    """sup |w| over the circle for a stable w: the 4096 `CIRCLE_POINTS`, then
-    golden-section maximization over the grid steps around the argmax."""
+    """Peak of |w| over the circle for a stable w: the 4096 `CIRCLE_POINTS`,
+    then golden-section maximization over the grid steps around the argmax
+    only, so a higher lobe between other samples goes unseen."""
     mags = np.abs(w(CIRCLE_POINTS))
     k = int(np.argmax(mags))
     step = 2.0 * np.pi / CIRCLE_ANGLES.size
@@ -494,9 +501,15 @@ def _peak(w: TransferFunctionSISO) -> float:
 
 
 def hinf_norm(w: TransferFunctionSISO) -> float:
-    """Peak gain sup |w(e^{i theta})| over the unit circle by `_peak`, accurate
-    to a relative 1e-6; +inf unless `roots_stable` finds every pole inside
-    radius 1 - control_math.STABILITY_MARGIN."""
+    """Peak gain sup |w(e^{i theta})| over the unit circle by `_peak`; +inf
+    unless `roots_stable` finds every pole inside radius
+    1 - control_math.STABILITY_MARGIN.
+
+    The value is |w| at a point of the circle, so never above the peak, and
+    it is the peak where the largest of the 4096 samples lies in the highest
+    lobe.  A resonance narrower than the sample step elsewhere is missed:
+    with poles within 1e-3 of the circle the value can be over 10% low.
+    """
     if w.is_zero:
         return 0.0
     if not roots_stable(w.den, np.zeros(1), [0.0])[0]:
@@ -524,23 +537,22 @@ def loop_h2_stack(h: TransferFunctionSISO, den: np.ndarray, nums, lams) -> np.nd
     if rows.size == 0:
         return h2_sq
     cols = np.tile(np.arange(lams.size), stable.size)
-    w_num, s = row
-    dens = np.tile(c_den, (rows.size, 1))
-    dens[:, : c_den.size - 1] -= lams[cols, None] * padded[rows]
-    if s.size > 1:
-        dens = np.array([npoly.polymul(s, loop) for loop in dens])
-    h2_sq[rows, cols] = _h2_cells(w_num, dens)
+    h2_sq[rows, cols] = _h2_cells(row[0], _cells(row, c_den, padded, lams, rows, cols))
     return h2_sq
 
 
 def loop_peaks(h: TransferFunctionSISO, c: TransferFunctionSISO, lams) -> np.ndarray:
     """Peak gain of the error loop -h / (1 - lam c), one per lam.
 
-    The flags of `_loops`; `_peak` of each stable cell's row, with no
-    second test, and +inf elsewhere.  Raises AlgebraicLoop unless c is
-    strictly proper.
+    The flags of `_loops`; `_peak` of each stable cell's row over its
+    `_cells` polynomial, with no second test, and +inf elsewhere.  Raises
+    AlgebraicLoop unless c is strictly proper.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    row, _, _, flags = _loops(h, c.den, c.num, lams)
-    return np.array([_peak(_row_tf(row, c, lam)) if ok else np.inf
-                     for lam, ok in zip(lams.tolist(), flags[0].tolist())])
+    row, c_den, padded, flags = _loops(h, c.den, c.num, lams)
+    peaks = np.full(lams.size, np.inf)
+    cols = np.flatnonzero(flags[0])
+    if cols.size:
+        peaks[cols] = [_peak(TransferFunctionSISO(row[0], den))
+                       for den in _cells(row, c_den, padded, lams, 0, cols)]
+    return peaks

@@ -22,7 +22,7 @@ from .config import ExperimentConfig, build_scenario, parse_config, validate_con
 from .control_math import RngStream, chebyshev_grid
 from .errors import NoStabilizingController
 from .evaluation import analytic_cost, empirical_cost, error_trace, moving_average
-from .lti import loop_h2_stack, loop_peaks, loop_stable, ss_to_tf
+from .lti import TransferFunctionSISO, loop_h2_stack, loop_peaks, loop_stable, ss_to_tf
 from .presets import preset_document
 from .scenario import STREAM_SIM_BASE, QuadraticScenario
 from .synthesis import SynthesisOptions, precompensated_synthesize
@@ -86,16 +86,19 @@ def _kalman_mu(cfg: ExperimentConfig, scenario: QuadraticScenario) -> float:
     return float(mode)
 
 
-def _synthesis_options(cfg: ExperimentConfig, scenario: QuadraticScenario) -> SynthesisOptions:
+def _synthesize(cfg: ExperimentConfig, scenario: QuadraticScenario, h: TransferFunctionSISO):
+    """The configured worst-case synthesis for h, the scenario's signal model."""
     spec = cfg.trackers
-    return SynthesisOptions(order=spec.hinf_order, grid_points=spec.hinf_grid,
-                            starts=spec.synthesis_starts,
-                            max_evals=spec.synthesis_max_evals, seed=scenario.seed)
+    return precompensated_synthesize(
+        h, UncertaintyInterval(scenario.lambda_min, scenario.lambda_max),
+        SynthesisOptions(order=spec.hinf_order, grid_points=spec.hinf_grid,
+                         starts=spec.synthesis_starts, max_evals=spec.synthesis_max_evals,
+                         seed=scenario.seed))
 
 
-def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
+def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario,
+                    h: TransferFunctionSISO) -> dict:
     spec = cfg.trackers
-    interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
     out = {}
     if "gd" in spec.use:
         alpha = spec.gd_alpha if spec.gd_alpha is not None else 1.0 / scenario.lambda_max
@@ -109,8 +112,7 @@ def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario) -> dict:
             pass
     if "hinf" in spec.use:
         try:
-            out["hinf"] = precompensated_synthesize(ss_to_tf(scenario.model), interval,
-                                                    _synthesis_options(cfg, scenario))
+            out["hinf"] = _synthesize(cfg, scenario, h)
         except NoStabilizingController:
             # no start stabilizes the whole interval; columns stay empty
             pass
@@ -122,7 +124,7 @@ def _sweep_point(cfg: ExperimentConfig, value: float) -> tuple:
     # each sweep parameter names the ScenarioSpec field it replaces
     scenario = build_scenario(dataclasses.replace(cfg.scenario, **{run.sweep_param: value}))
     h = ss_to_tf(scenario.model)
-    ctrls = _build_trackers(cfg, scenario)
+    ctrls = _build_trackers(cfg, scenario, h)
     analytic = {}
     empirical = {}
     for name in _COLUMN_ORDER:
@@ -173,7 +175,7 @@ def run_trace(cfg: ExperimentConfig) -> dict:
     """
     scenario = build_scenario(cfg.scenario)
     h = ss_to_tf(scenario.model)
-    ctrls = _build_trackers(cfg, scenario)
+    ctrls = _build_trackers(cfg, scenario, h)
     names = [name for name in _COLUMN_ORDER
              if name in ctrls and loop_stable(h, ctrls[name].tf, scenario.spectrum).all()]
     traces = error_trace(scenario, [ctrls[name] for name in names],
@@ -239,9 +241,7 @@ def synthesize_cmd(config_path: str, out_path: str) -> str:
     """
     cfg = parse_config(config_path)
     scenario = build_scenario(cfg.scenario)
-    interval = UncertaintyInterval(scenario.lambda_min, scenario.lambda_max)
-    h = ss_to_tf(scenario.model)
-    ctrl = precompensated_synthesize(h, interval, _synthesis_options(cfg, scenario))
+    ctrl = _synthesize(cfg, scenario, ss_to_tf(scenario.model))
     _write_text(out_path, json.dumps(controller_to_dict(ctrl), indent=2) + "\n")
     # the certified gamma is finite, so the loop is stable at every grid point
     print(f"Jhat = {ctrl.gamma:.17g}")

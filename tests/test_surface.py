@@ -1,6 +1,8 @@
 """The package surface: every exported name exists, every traced function and every
-name the README gives resolves, and the config layer imports without the heavy layers."""
+name the README gives resolves, every function the package defines is used in it or
+kept on purpose, and the config layer imports without the heavy layers."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -18,6 +20,14 @@ import quadtrack
 MODULES = sorted(info.name for info in pkgutil.iter_modules(quadtrack.__path__))
 LAYERS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = pathlib.Path(quadtrack.__file__).resolve().parent
+
+# Defined in the package although no package code calls them: the oracles,
+# reference implementations and paper formulas the tests and the traced
+# benchmark run read (see the north star of ROADMAP.md).
+KEEP = {"closed_loop_error_tf", "h2_norm_sq_exact", "h2_norm_sq_freq", "hinf_norm",
+        "hinf_synthesize", "initial_state", "is_internally_stable", "mismatch_curve",
+        "mu_star_from_density", "simulate_minimizer", "tracker_step"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -36,6 +46,24 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"quadtrack.{layer}"), fn,
                                        None))]
     assert missing == []
+
+
+def test_every_defined_function_is_used_or_kept():
+    # a helper that only the tests call belongs in the tests: every function
+    # and class the package defines is read by name in the package's own code
+    # (a call, a reference or an attribute), or is on the keep list
+    defined, used = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined - used - KEEP == set()
+    assert KEEP - defined == set()
 
 
 def test_every_name_the_readme_gives_resolves():
