@@ -8,16 +8,20 @@ paths.  Infinite cost is an in-band value, not an exception: callers
 render it as missing data.
 
 Both empirical entry points, the Monte Carlo cost and the error trace,
-go through one kernel.  It builds the joint signal/tracker state-space
-system from the realizations, the Hessian and the eigenbasis (never from
-a transfer function, so it checks the analytic algebra independently),
-and lifts it to blocks of L steps, so each block of errors is two
-matrix products.  The noise is drawn in chunks of _CHUNK_BLOCKS blocks,
-and each chunk drives every tracker's loop, each from its own state,
-before the next is drawn; so the trackers of a trace share one path and,
-apart from the output, memory does not grow with the horizon.  Reps run
-in order, each on its own pre-assigned RNG stream, so the numbers are
-bit-identical from run to run.
+run one chunk driver, `_simulate`, over one kernel.  The kernel builds
+the joint signal/tracker state-space system from the realizations, the
+Hessian and the eigenbasis (never from a transfer function, so it checks
+the analytic algebra independently), and lifts it to blocks of L steps,
+so each block of errors is two matrix products.  The driver draws the
+noise in chunks of _CHUNK_BLOCKS blocks, and each chunk drives every
+tracker's loop, each from its own state, before the next is drawn; so
+the trackers of a trace share one path and, apart from the output,
+memory does not grow with the horizon.  The cost sums the chunks as they
+come and the trace stores them.  A simulation that overflows reads +inf
+in band, never NaN; whether a loop is worth simulating at all is the
+caller's call, made on the analytic cost (see `runner._costs`).  Reps
+run in order, each on its own pre-assigned RNG stream, so the numbers
+are bit-identical from run to run.
 """
 
 import math
@@ -182,6 +186,29 @@ def _squared_errors(loop: _LiftedLoop, z: np.ndarray, noise: np.ndarray,
     return z
 
 
+def _simulate(scenario: QuadraticScenario, loops: list, horizon: int, rng: RngStream):
+    """Drive every lifted loop over one minimizer path, chunk by chunk.
+
+    Each noise chunk is drawn once from `noise_chunks` and runs every loop
+    from that loop's own carried state (zero at the start) before the next
+    is drawn.  Yields (offset, sq) per chunk, with sq[i] the |e_k|^2 of
+    loops[i] at steps offset, offset + 1, ...; the next chunk overwrites
+    sq.  A diverging loop overflows to inf or NaN without a warning.
+    """
+    states = [np.zeros(loop.phi_l.shape[0]) for loop in loops]
+    # every loop has the same block length, as it depends on n only
+    rows = _CHUNK_BLOCKS * loops[0].block
+    sq = np.empty((len(loops), rows))
+    lo = 0
+    for noise in noise_chunks(scenario.n, horizon, scenario.sigma, rng, rows):
+        size = noise.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, loop in enumerate(loops):
+                states[i] = _squared_errors(loop, states[i], noise, sq[i, :size])
+        yield lo, sq[:, :size]
+        lo += size
+
+
 def empirical_cost(scenario: QuadraticScenario, ctrl, horizon: int,
                    burnin: int, reps: int, rng: RngStream) -> tuple:
     """Monte Carlo steady-state cost: (mean, stderr) across reps.
@@ -189,34 +216,30 @@ def empirical_cost(scenario: QuadraticScenario, ctrl, horizon: int,
     Rep r consumes the stream rng.split(r), so reps are independent and
     the result does not depend on execution order.  Each rep simulates
     the closed loop on a fresh minimizer path from a zero joint state and
-    time-averages |e_k|^2 over k in [burnin, horizon).  The path is drawn
-    and simulated chunk by chunk, so memory does not grow with the horizon.
+    time-averages |e_k|^2 over k in [burnin, horizon), chunk by chunk
+    through `_simulate`, so memory does not grow with the horizon.
+
+    A simulation that overflows reads (inf, 0.0), the pair the runner
+    gives a loop it does not simulate.  A loop that diverges too slowly
+    to overflow within the horizon still reads finite: this route reads
+    no transfer function, so only the analytic cost can tell it unstable.
     """
     if not 0 <= burnin < horizon:
         raise InvalidBounds(f"need 0 <= burnin < horizon, got {burnin}, {horizon}")
     if reps < 1:
         raise InvalidBounds("reps must be at least 1")
-    loop = _lift(scenario, ctrl)
-    rows = _CHUNK_BLOCKS * loop.block
-    # a chunk's squared errors go to buf[1:]; the slot just before the
-    # first one summed takes the running sum of the earlier chunks
-    buf = np.empty(rows + 1)
+    loops = [_lift(scenario, ctrl)]
     means = []
     for r in range(reps):
-        z = np.zeros(loop.phi_l.shape[0])
         acc = 0.0
-        lo = 0
-        for noise in noise_chunks(scenario.n, horizon, scenario.sigma, rng.split(r), rows):
-            size = noise.shape[0]
-            z = _squared_errors(loop, z, noise, buf[1:size + 1])
-            skip = max(0, burnin - lo)
-            if skip < size:
-                # strictly left to right, one running sum over the whole
-                # path: np.sum pairs the terms up, and from Python 3.12 the
-                # builtin sum over floats is compensated
-                buf[skip] = acc
-                acc = np.cumsum(buf[skip:size + 1])[-1]
-            lo += size
+        for lo, sq in _simulate(scenario, loops, horizon, rng.split(r)):
+            # strictly left to right, one running sum over the whole path:
+            # np.sum pairs the terms up, and from Python 3.12 the builtin
+            # sum over floats is compensated
+            with np.errstate(over="ignore"):
+                acc = np.cumsum(np.concatenate(([acc], sq[0, max(0, burnin - lo):])))[-1]
+        if not math.isfinite(acc):
+            return math.inf, 0.0
         means.append(float(acc) / (horizon - burnin))
     mean = float(np.mean(means))
     if reps == 1:
@@ -231,25 +254,17 @@ def error_trace(scenario: QuadraticScenario, ctrls, horizon: int,
 
     Common noise makes the traces directly comparable.  Returns the (len(ctrls),
     horizon) array of per-step error norms |e_k|; no noise is drawn without ctrls.
-    Each noise chunk drives every tracker's loop before the next is drawn,
-    so besides the output, memory does not grow with the horizon.
+    The chunks of `_simulate` are stored as they come, so besides the
+    output, memory does not grow with the horizon.
     """
     if horizon < 1:
         raise InvalidBounds("horizon must be at least 1")
-    sq = np.empty((len(ctrls), horizon))
+    out = np.empty((len(ctrls), horizon))
     if not ctrls:
-        return sq
-    loops = [_lift(scenario, ctrl) for ctrl in ctrls]
-    states = [np.zeros(loop.phi_l.shape[0]) for loop in loops]
-    lo = 0
-    # every loop has the same block length, as it depends on n only
-    rows = _CHUNK_BLOCKS * loops[0].block
-    for noise in noise_chunks(scenario.n, horizon, scenario.sigma, rng, rows):
-        hi = lo + noise.shape[0]
-        for i, loop in enumerate(loops):
-            states[i] = _squared_errors(loop, states[i], noise, sq[i, lo:hi])
-        lo = hi
-    return np.sqrt(sq, out=sq)
+        return out
+    for lo, sq in _simulate(scenario, [_lift(scenario, ctrl) for ctrl in ctrls], horizon, rng):
+        out[:, lo:lo + sq.shape[1]] = sq
+    return np.sqrt(out, out=out)
 
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:

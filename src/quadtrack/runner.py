@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, build_scenario, parse_config, validate_config
+from .config import ExperimentConfig, RunSpec, build_scenario, parse_config, validate_config
 from .control_math import RngStream, chebyshev_grid
 from .errors import NoStabilizingController
 from .evaluation import analytic_cost, empirical_cost, error_trace, moving_average
@@ -47,11 +47,9 @@ _COLUMN_ORDER = ("gd", "hinf", "kalman")
 _TRACE_ROWS = 4096
 
 
-def _fmt(value) -> str:
-    """17-significant-digit cell; missing or infinite values render empty."""
-    if value is None or not math.isfinite(value):
-        return ""
-    return f"{value:.17g}"
+def _fmt(value: float) -> str:
+    """17-significant-digit cell; infinite values render empty."""
+    return f"{value:.17g}" if math.isfinite(value) else ""
 
 
 def _write_text(path: str, *parts: str) -> str:
@@ -119,33 +117,33 @@ def _build_trackers(cfg: ExperimentConfig, scenario: QuadraticScenario,
     return out
 
 
-def _sweep_point(cfg: ExperimentConfig, value: float) -> tuple:
-    run = cfg.run
+def _costs(scenario: QuadraticScenario, h: TransferFunctionSISO, ctrl, run: RunSpec) -> tuple:
+    """Analytic cost and empirical (mean, stderr) of one tracker on a scenario.
+
+    The one place that decides whether to simulate: a loop whose analytic
+    cost is infinite is not simulated, and its empirical pair is (inf, 0.0).
+    """
+    analytic = analytic_cost(h, ctrl.tf, scenario.spectrum, scenario.sigma ** 2)
+    if not math.isfinite(analytic):
+        return analytic, (math.inf, 0.0)
+    return analytic, empirical_cost(scenario, ctrl, run.horizon, run.burnin, run.reps,
+                                    RngStream(scenario.seed, STREAM_SIM_BASE))
+
+
+def _sweep_point(cfg: ExperimentConfig, value: float) -> dict:
+    """(sqrt analytic, sqrt empirical) cost of every tracker built at one value."""
     # each sweep parameter names the ScenarioSpec field it replaces
-    scenario = build_scenario(dataclasses.replace(cfg.scenario, **{run.sweep_param: value}))
+    scenario = build_scenario(dataclasses.replace(cfg.scenario, **{cfg.run.sweep_param: value}))
     h = ss_to_tf(scenario.model)
-    ctrls = _build_trackers(cfg, scenario, h)
-    analytic = {}
-    empirical = {}
-    for name in _COLUMN_ORDER:
-        ctrl = ctrls.get(name)
-        if ctrl is None:
-            analytic[name] = None
-            empirical[name] = None
-            continue
-        cost = analytic_cost(h, ctrl.tf, scenario.spectrum, scenario.sigma ** 2)
-        analytic[name] = math.sqrt(cost)
-        if math.isfinite(cost):
-            mean, _ = empirical_cost(scenario, ctrl, run.horizon, run.burnin,
-                                     run.reps, RngStream(scenario.seed, STREAM_SIM_BASE))
-            empirical[name] = math.sqrt(mean)
-        else:
-            empirical[name] = None
-    return analytic, empirical
+    out = {}
+    for name, ctrl in _build_trackers(cfg, scenario, h).items():
+        analytic, (mean, _) = _costs(scenario, h, ctrl, cfg.run)
+        out[name] = (math.sqrt(analytic), math.sqrt(mean))
+    return out
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple:
-    """Parameter grid and the (analytic, empirical) cells at each point."""
+    """Parameter grid and, at each point, the cost pair of every tracker built."""
     run = cfg.run
     values = [float(v) for v in np.linspace(run.sweep_lo, run.sweep_hi, run.sweep_points)]
     return values, [_sweep_point(cfg, v) for v in values]
@@ -154,16 +152,16 @@ def run_sweep(cfg: ExperimentConfig) -> tuple:
 def _sweep_csv_text(values: list, points: list) -> str:
     """One row per parameter value, sqrt(J) analytic and empirical per tracker.
 
-    A cell is None when that tracker was not run and +inf when its cost
-    diverges; both render as an empty field.
+    Every cell comes from `_costs`, which simulates only a loop of finite
+    analytic cost.  A tracker that was not built reads as an infinite
+    cost, and an infinite cost renders as an empty field.
     """
     lines = [SWEEP_HEADER]
-    for value, (analytic, empirical) in zip(values, points):
-        cells = [_fmt(value)]
+    for value, pairs in zip(values, points):
+        cells = [value]
         for name in _COLUMN_ORDER:
-            cells.append(_fmt(analytic[name]))
-            cells.append(_fmt(empirical[name]))
-        lines.append(",".join(cells))
+            cells.extend(pairs.get(name, (math.inf, math.inf)))
+        lines.append(",".join(map(_fmt, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -262,13 +260,7 @@ def evaluate_cmd(controller_path: str, config_path: str) -> list:
     scenario = build_scenario(cfg.scenario)
     h = ss_to_tf(scenario.model)
     flags = loop_stable(h, ctrl.tf, scenario.spectrum)
-    analytic = analytic_cost(h, ctrl.tf, scenario.spectrum, scenario.sigma ** 2)
-    if math.isfinite(analytic):
-        emp_mean, emp_stderr = empirical_cost(
-            scenario, ctrl, cfg.run.horizon, cfg.run.burnin, cfg.run.reps,
-            RngStream(scenario.seed, STREAM_SIM_BASE))
-    else:
-        emp_mean, emp_stderr = float("inf"), 0.0
+    analytic, (emp_mean, emp_stderr) = _costs(scenario, h, ctrl, cfg.run)
     grid = chebyshev_grid(scenario.lambda_min, scenario.lambda_max, cfg.trackers.hinf_grid)
     # +inf exactly where the loop is unstable, so the largest is robust_cost on the grid
     peaks = loop_peaks(h, ctrl.tf, grid)

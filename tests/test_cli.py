@@ -394,6 +394,35 @@ def test_sweep_with_failed_synthesis_leaves_hinf_cells_empty(tmp_path):
         assert cells[3] == "" and cells[4] == ""  # sqrtJ_hinf_analytic, sqrtJ_hinf_emp
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_simulates_no_tracker_of_infinite_analytic_cost(tmp_path, monkeypatch):
+    """At mu = 2.3 the filter loop is unstable at 3 of this spectrum's 10
+    curvatures, so its analytic cost is +inf: the runner never simulates
+    it, both kalman cells are empty, and gd's are filled."""
+    from quadtrack import runner
+    from quadtrack.trackers import KIND_GD
+
+    simulated = []
+    empirical_cost = runner.empirical_cost
+
+    def recorded(scenario, ctrl, *args):
+        simulated.append(ctrl.kind)
+        return empirical_cost(scenario, ctrl, *args)
+
+    monkeypatch.setattr(runner, "empirical_cost", recorded)
+    doc = {
+        "scenario": {"n": 10, "lambda_min": 1.0, "lambda_max": 3.5, "sigma": 1.0,
+                     "d_stable": [0.950625, -1.95, 1.0], "j": 0.2, "seed": 1},
+        "trackers": {"use": ["gd", "kalman"], "kalman_mu": 2.3},
+        "run": {"horizon": 500, "reps": 2,
+                "sweep": {"param": "lambda_max", "lo": 3.5, "hi": 3.5, "points": 1}},
+    }
+    _, gd, gd_emp, _, _, kalman, kalman_emp = sweep_row(tmp_path, doc)
+    assert gd is not None and gd_emp is not None
+    assert kalman is None and kalman_emp is None
+    assert simulated == [KIND_GD]
+
+
 def test_synthesize_then_evaluate_roundtrip(tmp_path, capsys):
     doc = {
         "scenario": {"n": 2, "lambda_min": 1.0, "lambda_max": 1.5, "sigma": 1.0,

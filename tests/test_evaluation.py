@@ -281,6 +281,19 @@ def test_empirical_cost_reps_are_independent_single_rep_runs():
     assert stderr == float(np.std(means, ddof=1) / math.sqrt(3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_simulation_reads_inf_in_band():
+    """At mu = 2.3 the filter loop is unstable at 3 of these 10 curvatures
+    and its path overflows within the horizon: the cost reads (inf, 0.0),
+    the runner's pair for a loop it does not simulate, not NaN, and no
+    overflow warning escapes."""
+    model = stable_model()
+    sc = make_scenario(10, 1.0, 3.5, model, 1.0, seed=1)
+    ctrl = make_kalman_tracker(model, 2.3)
+    assert loop_stable(ss_to_tf(model), ctrl.tf, sc.spectrum).sum() == 7
+    assert empirical_cost(sc, ctrl, 3000, 100, 2, sim_rng()) == (math.inf, 0.0)
+
+
 def test_error_trace_without_trackers_draws_nothing():
     sc = make_scenario(2, 1.5, 2.5, stable_model(), 1.0, seed=5)
     rng = sim_rng()

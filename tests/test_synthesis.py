@@ -476,6 +476,50 @@ def test_objective_reuses_its_screen_for_small_steps(monkeypatch):
     assert sum(outcomes) >= 4 and outcomes[-1] is False
 
 
+# (lambda_max, reference, step) pairs met by the search of the
+# sweep-lmax-unstable preset at seed 1 with WIDENING's factors, grid
+# [1, lambda_max] with 33 points: the step is within the reference's
+# perturbation room, yet its loop at the top curvature has a root outside
+# the circle (at modulus 1.0000426 and 1.0000623)
+ROOM_BUT_UNSTABLE = (
+    (2.9,
+     np.array([-0.04557344178178646, 0.06595299514676892, -0.3843571737207705,
+               -0.24000742865628774, -0.19712902319098652, 0.21158948286150342,
+               0.34516101645513575, 0.723055526604465]),
+     np.array([-0.04559044413716096, 0.06595731627976892, -0.38444815919120884,
+               -0.2400546739323261, -0.1971907957159217, 0.21173854627412042,
+               0.3452606967521321, 0.7230535069033033])),
+    (3.3,
+     np.array([0.03754754596626286, 0.08043736879417197, -0.2563791045665462,
+               -0.11892648882818342, -0.17650394966287802, -0.15420531962433381,
+               0.4698951203309223, 0.2380175022003544]),
+     np.array([0.03754846009936151, 0.08043967209397558, -0.2563807639599838,
+               -0.11892999011049242, -0.1765134030086596, -0.15422706480649667,
+               0.4699619249196956, 0.23796068667296694])),
+)
+
+
+@pytest.mark.parametrize("lam_max, ref, step", ROOM_BUT_UNSTABLE)
+def test_a_step_within_the_reference_room_still_takes_the_stability_test(lam_max, ref, step):
+    """The reference's perturbation room, room - s_d beta - s_n gamma, stays
+    positive at the step, but the bound behind it is sampled on the circle
+    and a loop root crosses it between samples; so that room certifies no
+    stability, and the step must read +inf, as the whole circle does."""
+    args = WIDENING[0][:5] + (chebyshev_grid(1.0, lam_max, 33),)
+    obj = _Objective(*args)
+    assert np.isfinite(obj(ref))
+    kept, _, _, room, beta, gamma, _ = obj._ref
+    q = obj.q_bar
+    s_n = float(np.abs(step[:q] - np.array(kept[:q])).sum())
+    s_d = float(np.abs(step[q:] - np.array(kept[q:])).sum())
+    assert room - s_d * beta - s_n * gamma > 0.4
+    n_cbar, d_cbar = obj.split(step)
+    loop = npoly.polysub(npoly.polymul(obj.d_u, d_cbar), lam_max * npoly.polymul(obj.p, n_cbar))
+    assert np.abs(npoly.polyroots(loop)).max() > 1.00004
+    assert obj(step) == np.inf
+    assert reference_objective(obj, step) == np.inf
+
+
 @st.composite
 def simplex_problems(draw):
     """A weighted quadratic in 1 to 6 variables that reads +inf past a
