@@ -164,8 +164,15 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
                               f"within {STABILITY_MARGIN:g} of 1 (persistent modes), with "
                               f"no root of {_ctx(path, 'd_stable')} within 1e-5 of one")
     j = _as_real(_get(doc, "j", path, True), _ctx(path, "j"))
-    g = _get(doc, "g", path, False, "ones")
+    seed = _as_int(_get(doc, "seed", path, True), _ctx(path, "seed"))
+    if not -(1 << 63) <= seed < 1 << 63:
+        # RngStream keys on the seed modulo 2^64, which is one-to-one on this range
+        raise ConfigError(f"{_ctx(path, 'seed')} must be in [-2^63, 2^63), got {seed}")
     order = d_stable.size + d_unstable.size - 2
+    if order < 1:
+        raise ConfigError(f"{path}: model order is zero; give d_stable or d_unstable "
+                          f"a root")
+    g = _get(doc, "g", path, False, "ones")
     if g == "ones":
         g = np.ones(order)
     elif not isinstance(g, (list, tuple)) or len(g) == 0:
@@ -184,13 +191,6 @@ def _validate_scenario(doc, path="scenario") -> ScenarioSpec:
     if d_unstable.size > 1 and min(abs(npoly.polyval(modes, b))) <= 1e-8 * sum(abs(b)):
         raise ConfigError(f"{_ctx(path, 'g')} hides a persistent mode: the signal model's "
                           f"numerator vanishes at a root of {_ctx(path, 'd_unstable')}")
-    seed = _as_int(_get(doc, "seed", path, True), _ctx(path, "seed"))
-    if not -(1 << 63) <= seed < 1 << 63:
-        # RngStream keys on the seed modulo 2^64, which is one-to-one on this range
-        raise ConfigError(f"{_ctx(path, 'seed')} must be in [-2^63, 2^63), got {seed}")
-    if order < 1:
-        raise ConfigError(f"{path}: model order is zero; give d_stable or d_unstable "
-                          f"a root")
     return ScenarioSpec(n, lambda_min, lambda_max, sigma, d_stable, d_unstable,
                         j, g, seed)
 

@@ -143,6 +143,19 @@ def test_growing_signal_mode_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("g", ["ones", [1.0]])
+def test_order_zero_model_is_rejected_for_its_order(tmp_path, capsys, g):
+    # no root in d_stable or d_unstable: the model has no state, so the
+    # error names the order, not the length of g
+    scenario = {**stable_scenario(), "g": g}
+    del scenario["d_stable"]
+    doc = {"scenario": scenario, "run": {"horizon": 100}, "output": {"dir": str(tmp_path)}}
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err == ("error: scenario: model order is zero; give d_stable "
+                                       "or d_unstable a root\n")
+
+
 @pytest.mark.parametrize("command", ["run", "synthesize"])
 def test_hinf_synthesis_on_a_white_noise_signal(tmp_path, capsys, command):
     # g = 0 with j = 1: h is d_s / d_s, white noise written over the model's
@@ -304,6 +317,42 @@ def sweep_row(outdir, doc):
     rows = (outdir / "s.csv").read_text(encoding="utf-8").splitlines()
     assert len(rows) == 2
     return [float(cell) if cell else None for cell in rows[1].split(",")]
+
+
+def one_point_analytic(doc, make):
+    """sqrt of `analytic_cost` of the tracker make(scenario) on doc's scenario."""
+    from quadtrack.config import build_scenario, validate_config
+    from quadtrack.evaluation import analytic_cost
+    from quadtrack.lti import ss_to_tf
+
+    scenario = build_scenario(validate_config(doc).scenario)
+    h = ss_to_tf(scenario.model)
+    return math.sqrt(analytic_cost(h, make(scenario).tf, scenario.spectrum, scenario.sigma ** 2))
+
+
+def one_point_doc(trackers):
+    return {"scenario": stable_scenario(n=2), "trackers": trackers,
+            "run": {"horizon": 400, "reps": 1,
+                    "sweep": {"param": "j", "lo": 0.5, "hi": 0.5, "points": 1}}}
+
+
+def test_sweep_runs_gd_at_the_configured_step(tmp_path):
+    # gd_alpha 0.3, not the default 1 / lambda_max = 0.5
+    from quadtrack.trackers import make_gd_tracker
+
+    doc = one_point_doc({"use": ["gd"], "gd_alpha": 0.3})
+    row = sweep_row(tmp_path, doc)
+    assert row[1] == one_point_analytic(doc, lambda sc: make_gd_tracker(0.3))  # sqrtJ_gd_analytic
+
+
+def test_sweep_tunes_the_filter_from_the_spectrum_with_eigs(tmp_path):
+    # kalman_mu "eigs" is sum(lambda^2) / sum(lambda), not the default search
+    from quadtrack.trackers import make_kalman_tracker, mu_star_from_eigs
+
+    doc = one_point_doc({"use": ["kalman"], "kalman_mu": "eigs"})
+    row = sweep_row(tmp_path, doc)
+    assert row[5] == one_point_analytic(  # sqrtJ_kalman_analytic
+        doc, lambda sc: make_kalman_tracker(sc.model, mu_star_from_eigs(sc.spectrum)))
 
 
 @pytest.mark.parametrize("d_unstable", [None, [-1.0, 1.0]], ids=["stable", "persistent"])

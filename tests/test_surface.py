@@ -1,6 +1,6 @@
 """The package surface: every exported name exists, every traced function and every
-name the README gives resolves, every function the package defines is used in it or
-kept on purpose, and the config layer imports without the heavy layers."""
+name and test the README gives resolves, every function the package defines is used in
+it or kept on purpose, and the config layer imports without the heavy layers."""
 
 import ast
 import importlib
@@ -77,6 +77,16 @@ def test_every_name_the_readme_gives_resolves():
     missing = [f"quadtrack.{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(f"quadtrack.{module}"), name)]
     assert missing == []
+
+
+def test_every_test_the_readme_gives_exists():
+    # a test the README cites as evidence must be one the suite runs
+    tests = pathlib.Path(__file__).resolve().parent
+    defined = {node.name for path in tests.glob("test_*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    cited = set(re.findall(r"\b(test_\w+)\b(?!\.py)", README.read_text(encoding="utf-8")))
+    assert cited - defined == set()
 
 
 def test_config_import_stays_light():
